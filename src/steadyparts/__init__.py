@@ -20,10 +20,12 @@ from .bipartite import (
     alpha,
     build_pi_table,
     d_value,
+    d_value_by_crank,
     d_value_by_difference,
     enumerate_steady,
     gf_table,
     pi_value,
+    pi_value_by_alpha,
 )
 from .crank import (
     CrankTable,
@@ -38,11 +40,15 @@ from .crank import (
 )
 from .formatting import ratio_string, sci_from_int, sci_from_log
 from .partitions import (
+    CoefficientTable,
     CubicTable,
     PartitionTable,
     build_c_table,
+    build_g_table,
     build_p_table,
     c_values_via_convolution,
+    c_values_via_inversion,
+    divide_by_euler,
     p_values_via_inversion,
 )
 from .series import (

@@ -17,9 +17,6 @@ C = 2.0 * math.pi * math.sqrt(5.0 / 12.0)
 # 2^{-4} 3^{-3/2} 5^{5/2}.
 KAPPA = 5.0 ** 2.5 / (16.0 * 3.0 ** 1.5)
 
-_LN2 = math.log(2.0)
-_LN10 = math.log(10.0)
-
 
 @dataclass(frozen=True)
 class LogValue:
@@ -62,18 +59,11 @@ class LogValue:
 
 
 def log_of_bigint(v: int) -> LogValue:
-    """Natural log of a positive big integer, good to well over 12 digits.
-
-    Large inputs are split as (v >> shift) * 2^shift with a 64-bit mantissa;
-    the discarded low bits perturb the log by less than 2^-63.
-    """
+    """Natural log of a positive integer of any size (math.log takes Python
+    ints beyond float range)."""
     if v <= 0:
         raise ValueError("log_of_bigint needs a positive integer")
-    bits = v.bit_length()
-    if bits <= 512:
-        return LogValue(math.log(v))
-    shift = bits - 64
-    return LogValue(math.log(v >> shift) + shift * _LN2)
+    return LogValue(math.log(v))
 
 
 def _log_damping(z: float, power: int) -> float:

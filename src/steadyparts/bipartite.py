@@ -1,17 +1,23 @@
 """Bipartite partition counts pi(m, n) with steadily decreasing parts.
 
-Three independent routes are implemented and cross-checked:
+The fast path is one table plus one short sum per cell.  Swapping the order
+of summation in the paper's convolutions writes every cell as an alternating
+sum of O(sqrt(mu)) coefficients of G = c * p, the series
+1/((q;q)^2 (q^2;q^2)) that ``partitions.build_g_table`` builds:
 
-* ``pi_value``          -- the c/alpha convolution (the fast path, good for
-                          arguments in the thousands);
-* ``gf_table``          -- direct box expansion of the Carlitz generating
-                          function 1/((x;xy)(x^2y^2;x^2y^2)(y;xy));
-* ``enumerate_steady``  -- brute-force enumeration of part-pair sequences
-                          satisfying min(a_i, b_i) >= max(a_{i+1}, b_{i+1}).
+* ``pi_value``  -- pi(m, n) = sum_l (-1)^l G(mu - l(l+1)/2 - l s);
+* ``d_value``   -- the first difference D(m, n) = pi(m, n) - pi(m-1, n), from
+                   the crank identity with ``crank_column``'s closed form put in.
 
-``d_value`` computes the first difference D(m,n) = pi(m,n) - pi(m-1,n)
-through its crank-convolution identity; ``d_value_by_difference`` is the
-always-available oracle for it.
+Independent routes are kept as oracles, for the tests and ``verify`` only:
+
+* ``pi_value_by_alpha``     -- the c/alpha convolution (with ``AlphaCache``);
+* ``d_value_by_crank``      -- D through the crank convolution c * M;
+* ``d_value_by_difference`` -- D as a difference of two c/alpha values;
+* ``gf_table``              -- direct box expansion of the Carlitz generating
+                               function 1/((x;xy)(x^2y^2;x^2y^2)(y;xy));
+* ``enumerate_steady``      -- brute-force enumeration of part-pair sequences
+                               satisfying min(a_i, b_i) >= max(a_{i+1}, b_{i+1}).
 """
 
 from __future__ import annotations
@@ -20,8 +26,57 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .crank import CrankTable
-from .partitions import CubicTable, PartitionTable
+from .partitions import CoefficientTable, CubicTable, PartitionTable
 from .series import BiSeries, bi_divide_by_binomial, bi_mul
+
+
+def pi_value(m: int, n: int, G: CoefficientTable) -> int:
+    """pi(m, n) = sum_{l >= 0} (-1)^l G(mu - l(l+1)/2 - l s), with
+    mu = min(m, n) and s = |m - n|.
+
+    This is the c/alpha convolution with its two sums swapped: the inner sum
+    over k of c(mu - k) p(k - l(l+1)/2 - l s) is one coefficient of G = c * p.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("pi takes nonnegative arguments")
+    mu = min(m, n)
+    s = abs(m - n)
+    if G.max_index < mu:
+        raise IndexError("G table too short for pi_value")
+    g = G.values()
+    total = 0
+    l = 0
+    while (k := mu - l * (l + 1) // 2 - l * s) >= 0:
+        total += -g[k] if l % 2 else g[k]
+        l += 1
+    return total
+
+
+def d_value(m: int, n: int, G: CoefficientTable) -> int:
+    """D(m, n) with L = min(m, 2n - m) and b = n - L:
+
+        D(m,n) = sum_{k >= 1} (-1)^(k-1) [G(L - k(k-1)/2 - b(k-1))
+                                         - G(L - k(k+1)/2 - b(k-1))],
+
+    and D(m,n) = 0 outright when m > 2n.  This is ``d_value_by_crank`` with
+    ``crank_column``'s closed form for M(b, .) put in and the sums swapped.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("d_value takes nonnegative arguments")
+    if m > 2 * n:
+        return 0
+    L = min(2 * n - m, m)
+    if G.max_index < L:
+        raise IndexError("G table too short for d_value")
+    b = n - L
+    g = G.values()
+    total = 0
+    k = 1
+    while (hi := L - k * (k - 1) // 2 - b * (k - 1)) >= 0:
+        term = g[hi] - g[hi - k] if hi >= k else g[hi]
+        total += term if k % 2 else -term
+        k += 1
+    return total
 
 
 class AlphaCache:
@@ -63,20 +118,20 @@ def alpha(s: int, k: int, p_table: PartitionTable) -> int:
     return total
 
 
-def pi_value(
+def pi_value_by_alpha(
     m: int,
     n: int,
     c_table: CubicTable,
     p_table: PartitionTable,
     alpha_cache: Optional[AlphaCache] = None,
 ) -> int:
-    """pi(m, n) = sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k)."""
+    """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k)."""
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
     mu = min(m, n)
     s = abs(m - n)
     if c_table.max_index < mu or p_table.max_index < mu:
-        raise IndexError("tables too short for pi_value")
+        raise IndexError("tables too short for pi_value_by_alpha")
     if alpha_cache is None:
         alpha_cache = AlphaCache(p_table)
     total = 0
@@ -87,8 +142,8 @@ def pi_value(
     return total
 
 
-def d_value(m: int, n: int, c_table: CubicTable, crank_table: CrankTable) -> int:
-    """D(m, n) through the crank convolution:
+def d_value_by_crank(m: int, n: int, c_table: CubicTable, crank_table: CrankTable) -> int:
+    """Oracle for D(m, n) through the crank convolution:
 
         D(m,n) = sum_{0 <= k <= L} c(L - k) M(n - L, n - L + k),
         L = min(2n - m, m),
@@ -96,14 +151,14 @@ def d_value(m: int, n: int, c_table: CubicTable, crank_table: CrankTable) -> int
     and D(m,n) = 0 outright when m > 2n.
     """
     if m < 0 or n < 0:
-        raise ValueError("d_value takes nonnegative arguments")
+        raise ValueError("d_value_by_crank takes nonnegative arguments")
     if m > 2 * n:
         return 0
     L = min(2 * n - m, m)
     if c_table.max_index < L:
-        raise IndexError("c table too short for d_value")
+        raise IndexError("c table too short for d_value_by_crank")
     if crank_table.max_order < n:
-        raise IndexError("crank table too short for d_value")
+        raise IndexError("crank table too short for d_value_by_crank")
     base = n - L
     total = 0
     for k in range(L + 1):
@@ -120,11 +175,12 @@ def d_value_by_difference(
     p_table: PartitionTable,
     alpha_cache: Optional[AlphaCache] = None,
 ) -> int:
-    """Oracle for D(m, n): pi(m,n) - pi(m-1,n), with pi(-1,n) = 0."""
+    """Oracle for D(m, n): pi(m,n) - pi(m-1,n) by the c/alpha convolution,
+    with pi(-1,n) = 0."""
     if alpha_cache is None:
         alpha_cache = AlphaCache(p_table)
-    hi = pi_value(m, n, c_table, p_table, alpha_cache)
-    lo = 0 if m == 0 else pi_value(m - 1, n, c_table, p_table, alpha_cache)
+    hi = pi_value_by_alpha(m, n, c_table, p_table, alpha_cache)
+    lo = 0 if m == 0 else pi_value_by_alpha(m - 1, n, c_table, p_table, alpha_cache)
     return hi - lo
 
 
@@ -267,16 +323,6 @@ def gf_table(M: int, N: int, cap: int = 60) -> BipartiteTable:
     return BipartiteTable(product.coeffs)
 
 
-def build_pi_table(
-    M: int,
-    N: int,
-    c_table: CubicTable,
-    p_table: PartitionTable,
-) -> BipartiteTable:
-    """pi on a box through the c/alpha convolution (shares one alpha cache)."""
-    cache = AlphaCache(p_table)
-    grid = [
-        [pi_value(m, n, c_table, p_table, cache) for n in range(N + 1)]
-        for m in range(M + 1)
-    ]
-    return BipartiteTable(grid)
+def build_pi_table(M: int, N: int, G: CoefficientTable) -> BipartiteTable:
+    """pi on the (M+1) x (N+1) box through the G sums."""
+    return BipartiteTable([[pi_value(m, n, G) for n in range(N + 1)] for m in range(M + 1)])

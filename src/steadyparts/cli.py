@@ -29,14 +29,22 @@ from .asymptotics import asym_D, asym_pi, log_of_bigint
 from .bipartite import (
     AlphaCache,
     d_value,
+    d_value_by_crank,
     d_value_by_difference,
     enumerate_steady,
     gf_table,
     pi_value,
+    pi_value_by_alpha,
 )
-from .crank import build_crank_columns, build_crank_table, crank_value_direct
+from .crank import build_crank_table, crank_value_direct
 from .formatting import ratio_string, sci_from_int, sci_from_log
-from .partitions import CubicTable, build_c_table, build_p_table
+from .partitions import (
+    CoefficientTable,
+    CubicTable,
+    build_g_table,
+    build_p_table,
+    c_values_via_inversion,
+)
 
 DEFAULT_TIME_LIMIT_S = 30 * 60
 DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
@@ -93,11 +101,10 @@ def cli(ctx, threads):
 
 
 def _table1_rows(l_values, threads, guard):
-    n_max = max(L * L + L for L in l_values)
-    guard.require_cells(2 * (n_max + 1))
-    p = build_p_table(n_max)
-    guard.check_time()
-    c = build_c_table(n_max)
+    # both cells of a row have min(m, n) = L^2
+    mu_max = max(L * L for L in l_values)
+    guard.require_cells(mu_max + 1)
+    G = build_g_table(mu_max)
     guard.check_time()
 
     cells = []
@@ -107,8 +114,7 @@ def _table1_rows(l_values, threads, guard):
 
     def one(cell):
         L, m, n = cell
-        cache = AlphaCache(p)
-        v = pi_value(m, n, c, p, cache)
+        v = pi_value(m, n, G)
         a = asym_pi(m, n)
         return {
             "L": L,
@@ -171,15 +177,14 @@ def compute(ctx, m, n):
     """Exact pi(m,n) and D(m,n) for one cell, with asymptotics and ratios."""
     guard = ResourceGuard()
     mu = min(m, n)
-    guard.require_cells(3 * (max(m, n) + 1))
     try:
-        p = build_p_table(max(mu, n))
-        c = build_c_table(mu)
+        # D needs G up to min(m, 2n - m), which is at most mu
+        guard.require_cells(mu + 1)
+        G = build_g_table(mu)
         guard.check_time()
     except GuardExceeded as exc:
         _fail_guard(exc)
-    cache = AlphaCache(p)
-    v = pi_value(m, n, c, p, cache)
+    v = pi_value(m, n, G)
     click.echo(f"pi({m},{n}) = {v}")
     if v > 0 and mu >= 1:
         a = asym_pi(m, n)
@@ -190,10 +195,7 @@ def compute(ctx, m, n):
     if m > 2 * n:
         click.echo(f"D({m},{n}) = 0 (vanishes identically for m > 2n; no asymptotic applies)")
         return
-    L = min(2 * n - m, m)
-    c_d = c if c.max_index >= L else build_c_table(L)
-    crank = build_crank_columns([n - L], n, p)
-    d = d_value(m, n, c_d, crank)
+    d = d_value(m, n, G)
     click.echo(f"D({m},{n}) = {d}")
     if d > 0 and 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
         ad = asym_D(m, n)
@@ -204,14 +206,21 @@ def compute(ctx, m, n):
 
 
 def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, fault: bool):
-    """Yield (name, passed, detail) tuples for each cross-check suite."""
+    """Yield (name, passed, detail) tuples for each cross-check suite.
+
+    The fast path (pi_value and d_value over the G table) is checked against
+    routes that never touch G: the c/alpha convolution and the crank
+    convolution over a c table from dense series inversion, the Carlitz box
+    expansion and brute-force enumeration.
+    """
     p = build_p_table(max(marginal_n, telescope_n, 2 * box))
-    c = build_c_table(max(telescope_n, box))
+    c = CubicTable(c_values_via_inversion(max(telescope_n, box)))
+    G = build_g_table(max(telescope_n, box))
     if fault:
-        # negative control: corrupt one cubic value and watch the checks fail
-        vals = list(c.values())
+        # negative control: corrupt one G value and watch the checks fail
+        vals = list(G.values())
         vals[min(2, len(vals) - 1)] += 1
-        c = CubicTable(vals)
+        G = CoefficientTable(vals)
     cache = AlphaCache(p)
 
     g = gf_table(box, box)
@@ -220,7 +229,8 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
         for m in range(box + 1)
         for n in range(box + 1)
         if not (
-            pi_value(m, n, c, p, cache)
+            pi_value(m, n, G)
+            == pi_value_by_alpha(m, n, c, p, cache)
             == g.pi(m, n)
             == enumerate_steady(m, n, cap=2 * box)[0]
         )
@@ -234,12 +244,12 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
     for n in range(telescope_n + 1):
         running = 0
         for m in range(2 * n + 1):
-            dv = d_value(m, n, c, crank)
+            dv = d_value(m, n, G)
             running += dv
             checked += 1
-            if dv != d_value_by_difference(m, n, c, p, cache):
+            if not dv == d_value_by_crank(m, n, c, crank) == d_value_by_difference(m, n, c, p, cache):
                 bad += 1
-            if running != pi_value(m, n, c, p, cache):
+            if running != pi_value(m, n, G):
                 bad += 1
     yield ("telescoping D identity", bad == 0, f"{checked} cells, n <= {telescope_n}")
 
@@ -251,7 +261,7 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
         1
         for m in range(box + 1)
         for n in range(m)
-        if pi_value(m, n, c, p, cache) != pi_value(n, m, c, p, cache)
+        if pi_value(m, n, G) != pi_value(n, m, G)
     )
     yield ("pi symmetry", bad == 0, f"box {box}x{box}")
 
@@ -305,9 +315,9 @@ def verify(ctx, deep, box, inject_fault):
 def crank_row(n, fmt):
     """Crank counts M(m, n) for m = -n .. n at a single n."""
     guard = ResourceGuard()
-    guard.require_cells(n + 1)
-    p = build_p_table(n)
     try:
+        guard.require_cells(n + 1)
+        p = build_p_table(n)
         guard.check_time()
     except GuardExceeded as exc:
         _fail_guard(exc)

@@ -1,12 +1,10 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The large-table rows (L = 70, 100) sit behind STEADYPARTS_STRETCH=1
-with a 30-minute budget.
+lines.
 """
 
 import math
-import os
 
 import pytest
 
@@ -22,10 +20,12 @@ from steadyparts.asymptotics import (
 from steadyparts.bipartite import (
     AlphaCache,
     d_value,
+    d_value_by_crank,
     d_value_by_difference,
     enumerate_steady,
     gf_table,
     pi_value,
+    pi_value_by_alpha,
 )
 from steadyparts.crank import (
     build_crank_columns,
@@ -34,7 +34,7 @@ from steadyparts.crank import (
     crank_counts_by_enumeration,
 )
 from steadyparts.formatting import ratio_string, sci_from_int
-from steadyparts.partitions import build_c_table, build_p_table
+from steadyparts.partitions import build_c_table, build_g_table, build_p_table
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,11 @@ def p_big():
 @pytest.fixture(scope="module")
 def c_big():
     return build_c_table(2600)
+
+
+@pytest.fixture(scope="module")
+def g_big():
+    return build_g_table(2600)
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +69,12 @@ def exact_over_asym(value, approx):
     return math.exp(log_of_bigint(value).log - approx.log)
 
 
-def test_criterion_1_table1_diagonal(p_big, c_big, cache):
+def test_criterion_1_table1_diagonal(g_big):
     expect = {10: ("2.02082e13", "0.9436"), 40: ("2.29293e64", "0.9858")}
     ok = True
     details = []
     for L, (want_sci, want_ratio) in expect.items():
-        v = pi_value(L * L, L * L, c_big, p_big, cache)
+        v = pi_value(L * L, L * L, g_big)
         got_sci = sci_from_int(v)
         got_ratio = ratio_string(log_of_bigint(v), asym_pi(L * L, L * L))
         details.append(f"L={L}: {got_sci} ratio {got_ratio}")
@@ -77,14 +82,8 @@ def test_criterion_1_table1_diagonal(p_big, c_big, cache):
     report("1. Table 1 diagonal (L=10,40)", ok, "; ".join(details))
 
 
-@pytest.mark.skipif(
-    not os.environ.get("STEADYPARTS_STRETCH"),
-    reason="stretch rows need STEADYPARTS_STRETCH=1 (30-minute budget)",
-)
 def test_criterion_1_stretch_rows():
-    p = build_p_table(10100)
-    c = build_c_table(10100)
-    cache = AlphaCache(p)
+    G = build_g_table(10000)
     expect = {
         70: ("2.99238e116", "0.9919", "5.25671e116", "0.9859"),
         100: ("7.15231e168", "0.9943", "1.25872e169", "0.9901"),
@@ -92,8 +91,8 @@ def test_criterion_1_stretch_rows():
     ok = True
     details = []
     for L, (diag_sci, diag_ratio, off_sci, off_ratio) in expect.items():
-        v = pi_value(L * L, L * L, c, p, cache)
-        w = pi_value(L * L, L * L + L, c, p, cache)
+        v = pi_value(L * L, L * L, G)
+        w = pi_value(L * L, L * L + L, G)
         got = (
             sci_from_int(v),
             ratio_string(log_of_bigint(v), asym_pi(L * L, L * L)),
@@ -105,12 +104,12 @@ def test_criterion_1_stretch_rows():
     report("1s. Table 1 stretch rows (L=70,100)", ok, "; ".join(details))
 
 
-def test_criterion_2_table1_off_diagonal(p_big, c_big, cache):
+def test_criterion_2_table1_off_diagonal(g_big):
     expect = {10: ("3.42924e13", "0.9060"), 40: ("4.00991e64", "0.9754")}
     ok = True
     details = []
     for L, (want_sci, want_ratio) in expect.items():
-        v = pi_value(L * L, L * L + L, c_big, p_big, cache)
+        v = pi_value(L * L, L * L + L, g_big)
         got_sci = sci_from_int(v)
         got_ratio = ratio_string(log_of_bigint(v), asym_pi(L * L, L * L + L))
         details.append(f"L={L}: {got_sci} ratio {got_ratio}")
@@ -118,29 +117,30 @@ def test_criterion_2_table1_off_diagonal(p_big, c_big, cache):
     report("2. Table 1 off-diagonal (L=10,40)", ok, "; ".join(details))
 
 
-def test_criterion_3_three_way_equivalence(p_big, c_big, cache):
+def test_criterion_3_three_way_equivalence(p_big, c_big, g_big, cache):
     g = gf_table(10, 10)
     bad = 0
     for m in range(11):
         for n in range(11):
-            conv = pi_value(m, n, c_big, p_big, cache)
-            if conv != g.pi(m, n) or conv != enumerate_steady(m, n)[0]:
+            fast = pi_value(m, n, g_big)
+            if not fast == pi_value_by_alpha(m, n, c_big, p_big, cache) == g.pi(m, n) == enumerate_steady(m, n)[0]:
                 bad += 1
     report("3. three-way oracle equivalence (121 cells)", bad == 0, f"{121 - bad}/121 agree")
 
 
-def test_criterion_4_difference_identity(p_big, c_big, cache):
+def test_criterion_4_difference_identity(p_big, c_big, g_big, cache):
     crank = build_crank_table(40)
     bad = 0
     cells = 0
     for n in range(41):
         for m in range(3 * n + 1):
             cells += 1
-            via_crank = d_value(m, n, c_big, crank)
+            via_g = d_value(m, n, g_big)
+            via_crank = d_value_by_crank(m, n, c_big, crank)
             via_diff = d_value_by_difference(m, n, c_big, p_big, cache)
-            if via_crank != via_diff:
+            if not via_g == via_crank == via_diff:
                 bad += 1
-            if m > 2 * n and via_crank != 0:
+            if m > 2 * n and via_g != 0:
                 bad += 1
     report("4. D identity, 0<=m<=3n, n<=40", bad == 0, f"{cells} cells exact")
 
@@ -173,7 +173,7 @@ def test_criterion_5_crank_soundness(p_big):
     )
 
 
-def test_criterion_6_asymptotic_convergence(p_big, c_big, cache):
+def test_criterion_6_asymptotic_convergence(p_big, c_big, g_big):
     cols = build_crank_columns([0, 10, 20], 420, p_big)
     m_ratios = {
         k: exact_over_asym(cols.value(k, k + 400), asym_M(k, 400)) for k in (0, 10, 20)
@@ -183,13 +183,12 @@ def test_criterion_6_asymptotic_convergence(p_big, c_big, cache):
     c_ratio = exact_over_asym(c_big.c(2000), asym_c(2000))
     ok_c = abs(c_ratio - 1) < 0.10
 
-    col0 = build_crank_columns([0], 2500, p_big)
-    d_ratio = exact_over_asym(d_value(2500, 2500, c_big, col0), asym_D(2500, 2500))
+    d_ratio = exact_over_asym(d_value(2500, 2500, g_big), asym_D(2500, 2500))
     ok_d = abs(d_ratio - 1) < 0.10
 
     devs = []
     for L in (10, 20, 30, 40):
-        v = pi_value(L * L, L * L, c_big, p_big, cache)
+        v = pi_value(L * L, L * L, g_big)
         devs.append(abs(exact_over_asym(v, asym_pi(L * L, L * L)) - 1))
     ok_mono = all(a > b for a, b in zip(devs, devs[1:]))
 

@@ -14,10 +14,10 @@ from steadyparts.asymptotics import (
     f_saddle,
     log_of_bigint,
 )
-from steadyparts.bipartite import pi_value, d_value, AlphaCache
+from steadyparts.bipartite import pi_value, d_value
 from steadyparts.crank import build_crank_columns
 from steadyparts.formatting import ratio_string, sci_from_int, sci_from_log
-from steadyparts.partitions import build_c_table, build_p_table
+from steadyparts.partitions import build_c_table, build_g_table, build_p_table
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +74,7 @@ class TestLogOfBigint:
         assert log_of_bigint(v).log == pytest.approx(4000 * math.log(7), rel=1e-12)
 
     def test_table1_value(self):
-        p = build_p_table(100)
-        c = build_c_table(100)
-        v = pi_value(100, 100, c, p)
+        v = pi_value(100, 100, build_g_table(100))
         assert log_of_bigint(v).log == pytest.approx(math.log(2.02082e13), rel=1e-5)
 
 
@@ -165,10 +163,8 @@ class TestAsymD:
         want = math.log(5.0 * C / 96.0) + C * math.sqrt(n) - 2.0 * math.log(n) + math.log(0.25)
         assert asym_D(n, n).log == pytest.approx(want, rel=1e-12)
 
-    def test_exact_ratio_at_2500(self, p5000):
-        c = build_c_table(2500)
-        col0 = build_crank_columns([0], 2500, p5000)
-        r = ratio(d_value(2500, 2500, c, col0), asym_D(2500, 2500))
+    def test_exact_ratio_at_2500(self):
+        r = ratio(d_value(2500, 2500, build_g_table(2500)), asym_D(2500, 2500))
         assert abs(r - 1) < 0.10, r
 
     def test_symmetric_about_n(self):
@@ -193,9 +189,8 @@ class TestAsymPi:
         want = math.log(5.0 / 96.0) + C * math.sqrt(n) - 1.5 * math.log(n)
         assert asym_pi(n, n).log == pytest.approx(want, rel=1e-12)
 
-    def test_ratio_columns_of_table1(self, p5000):
-        c = build_c_table(1640)
-        cache = AlphaCache(p5000)
+    def test_ratio_columns_of_table1(self):
+        G = build_g_table(1600)
         expect = {
             (100, 100): "0.9436",
             (100, 110): "0.9060",
@@ -203,15 +198,14 @@ class TestAsymPi:
             (1600, 1640): "0.9754",
         }
         for (m, n), want in expect.items():
-            v = pi_value(m, n, c, p5000, cache)
+            v = pi_value(m, n, G)
             assert ratio_string(log_of_bigint(v), asym_pi(m, n)) == want
 
-    def test_monotone_convergence_on_diagonal(self, p5000):
-        c = build_c_table(1600)
-        cache = AlphaCache(p5000)
+    def test_monotone_convergence_on_diagonal(self):
+        G = build_g_table(1600)
         devs = []
         for L in (10, 20, 30, 40):
-            v = pi_value(L * L, L * L, c, p5000, cache)
+            v = pi_value(L * L, L * L, G)
             devs.append(abs(ratio(v, asym_pi(L * L, L * L)) - 1))
         assert all(a > b for a, b in zip(devs, devs[1:]))
 

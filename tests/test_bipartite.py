@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steadyparts.bipartite import (
     AlphaCache,
@@ -8,13 +10,15 @@ from steadyparts.bipartite import (
     alpha,
     build_pi_table,
     d_value,
+    d_value_by_crank,
     d_value_by_difference,
     enumerate_steady,
     gf_table,
     pi_value,
+    pi_value_by_alpha,
 )
-from steadyparts.crank import build_crank_table
-from steadyparts.partitions import build_c_table, build_p_table
+from steadyparts.crank import build_crank_columns, build_crank_table
+from steadyparts.partitions import build_c_table, build_g_table, build_p_table
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +29,11 @@ def p_table():
 @pytest.fixture(scope="module")
 def c_table():
     return build_c_table(200)
+
+
+@pytest.fixture(scope="module")
+def g_table():
+    return build_g_table(200)
 
 
 @pytest.fixture(scope="module")
@@ -85,40 +94,47 @@ class TestEnumerate:
 
 
 class TestPiValue:
-    def test_edges(self, c_table, p_table):
+    def test_edges(self, g_table, c_table, p_table):
         for k in range(15):
-            assert pi_value(0, k, c_table, p_table) == 1
-            assert pi_value(k, 0, c_table, p_table) == 1
+            assert pi_value(0, k, g_table) == pi_value(k, 0, g_table) == 1
+            assert pi_value_by_alpha(0, k, c_table, p_table) == 1
+            assert pi_value_by_alpha(k, 0, c_table, p_table) == 1
 
-    def test_two_one(self, c_table, p_table):
-        assert pi_value(2, 1, c_table, p_table) == 2
+    def test_two_one(self, g_table, c_table, p_table):
+        assert pi_value(2, 1, g_table) == pi_value_by_alpha(2, 1, c_table, p_table) == 2
 
     def test_table1_leading_digits(self):
         from steadyparts.formatting import sci_from_int
 
-        p = build_p_table(100)
-        c = build_c_table(100)
-        assert sci_from_int(pi_value(100, 100, c, p)) == "2.02082e13"
+        assert sci_from_int(pi_value(100, 100, build_g_table(100))) == "2.02082e13"
 
-    def test_symmetry(self, c_table, p_table, cache):
+    def test_symmetry(self, g_table, c_table, p_table, cache):
         for m in range(25):
             for n in range(m):
-                assert pi_value(m, n, c_table, p_table, cache) == pi_value(
+                assert pi_value(m, n, g_table) == pi_value(n, m, g_table)
+                assert pi_value_by_alpha(m, n, c_table, p_table, cache) == pi_value_by_alpha(
                     n, m, c_table, p_table, cache
                 )
 
+    def test_short_table_raises(self):
+        with pytest.raises(IndexError):
+            pi_value(11, 30, build_g_table(10))
+        with pytest.raises(IndexError):
+            d_value(11, 30, build_g_table(10))
+
 
 class TestThreeWayAgreement:
-    def test_box_ten(self, c_table, p_table, cache):
+    def test_box_ten(self, g_table, c_table, p_table, cache):
         g = gf_table(10, 10)
         for m in range(11):
             for n in range(11):
-                conv = pi_value(m, n, c_table, p_table, cache)
-                assert conv == g.pi(m, n), (m, n)
-                assert conv == enumerate_steady(m, n)[0], (m, n)
+                fast = pi_value(m, n, g_table)
+                assert fast == pi_value_by_alpha(m, n, c_table, p_table, cache), (m, n)
+                assert fast == g.pi(m, n), (m, n)
+                assert fast == enumerate_steady(m, n)[0], (m, n)
 
-    def test_build_pi_table_matches_gf(self, c_table, p_table):
-        t = build_pi_table(12, 12, c_table, p_table)
+    def test_build_pi_table_matches_gf(self, g_table):
+        t = build_pi_table(12, 12, g_table)
         g = gf_table(12, 12)
         for m in range(13):
             for n in range(13):
@@ -130,32 +146,37 @@ class TestThreeWayAgreement:
 
 
 class TestDValue:
-    def test_first_column(self, c_table, crank60):
+    def test_first_column(self, g_table, c_table, crank60):
         for n in range(0, 61, 5):
-            assert d_value(0, n, c_table, crank60) == 1
+            assert d_value(0, n, g_table) == d_value_by_crank(0, n, c_table, crank60) == 1
 
-    def test_one_one(self, c_table, crank60):
-        assert d_value(1, 1, c_table, crank60) == 0
+    def test_one_one(self, g_table, c_table, crank60):
+        assert d_value(1, 1, g_table) == d_value_by_crank(1, 1, c_table, crank60) == 0
 
-    def test_vanishing_beyond_2n(self, c_table, crank60):
-        assert d_value(5, 2, c_table, crank60) == 0
+    def test_vanishing_beyond_2n(self, g_table, c_table, crank60):
+        assert d_value(5, 2, g_table) == d_value_by_crank(5, 2, c_table, crank60) == 0
         for n in range(31):
             for m in range(2 * n + 1, 3 * n + 1):
-                assert d_value(m, n, c_table, crank60) == 0
+                assert d_value(m, n, g_table) == d_value_by_crank(m, n, c_table, crank60) == 0
 
-    def test_identity_against_difference(self, c_table, p_table, crank60, cache):
+    def test_identity_against_difference(self, g_table, c_table, p_table, crank60, cache):
+        # the G path against both oracles on every cell with n <= 40, m <= 3n
         for n in range(41):
             for m in range(3 * n + 1):
-                assert d_value(m, n, c_table, crank60) == d_value_by_difference(
-                    m, n, c_table, p_table, cache
+                assert (
+                    d_value(m, n, g_table)
+                    == d_value_by_crank(m, n, c_table, crank60)
+                    == d_value_by_difference(m, n, c_table, p_table, cache)
                 ), (m, n)
 
-    def test_telescoping(self, c_table, p_table, crank60, cache):
+    def test_telescoping(self, g_table, c_table, p_table, crank60, cache):
         for n in range(61):
-            running = 0
+            running = running_crank = 0
             for m in range(2 * n + 1):
-                running += d_value(m, n, c_table, crank60)
-                assert running == pi_value(m, n, c_table, p_table, cache), (m, n)
+                running += d_value(m, n, g_table)
+                running_crank += d_value_by_crank(m, n, c_table, crank60)
+                assert running == pi_value(m, n, g_table), (m, n)
+                assert running_crank == pi_value_by_alpha(m, n, c_table, p_table, cache), (m, n)
 
     def test_three_regimes_match_unified_formula(self, c_table, crank60):
         # the piecewise forms for 0<=m<=n, n<=m<=2n and m>2n all reduce to
@@ -173,4 +194,44 @@ class TestDValue:
 
         for n in range(31):
             for m in range(3 * n + 1):
-                assert regime(m, n) == d_value(m, n, c_table, crank60)
+                assert regime(m, n) == d_value_by_crank(m, n, c_table, crank60)
+
+
+@pytest.fixture(scope="module")
+def p3000():
+    return build_p_table(3000)
+
+
+@pytest.fixture(scope="module")
+def c3000():
+    return build_c_table(3000)
+
+
+@pytest.fixture(scope="module")
+def g3000():
+    return build_g_table(3000)
+
+
+class TestGPathAgainstOracles:
+    """The G sums against routes that never touch G."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(mu=st.integers(0, 3000), s=st.integers(0, 3000), flip=st.booleans())
+    @example(mu=3000, s=0, flip=False)
+    @example(mu=2999, s=57, flip=True)
+    def test_pi_matches_alpha_convolution(self, p3000, c3000, g3000, mu, s, flip):
+        m, n = (mu + s, mu) if flip else (mu, mu + s)
+        assert pi_value(m, n, g3000) == pi_value_by_alpha(m, n, c3000, p3000)
+
+    @settings(max_examples=25, deadline=None)
+    @given(M=st.integers(0, 14), N=st.integers(0, 14))
+    def test_pi_matches_box_expansion_and_enumeration(self, g_table, M, N):
+        box = gf_table(M, N)
+        for m in range(M + 1):
+            for n in range(N + 1):
+                assert pi_value(m, n, g_table) == box.pi(m, n), (m, n)
+        assert pi_value(M, N, g_table) == enumerate_steady(M, N)[0]
+
+    def test_d_at_2500(self, p3000, c3000, g3000):
+        column = build_crank_columns([0], 2500, p3000)
+        assert d_value(2500, 2500, g3000) == d_value_by_crank(2500, 2500, c3000, column)

@@ -77,6 +77,34 @@ class TestCompute:
         assert "m > 2n" in res.output
 
 
+class TestGuard:
+    """Every table-building command aborts cleanly: exit 2, a one-line
+    reason on stderr, no traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table1", "--L", "10"],
+            ["compute", "--m", "100", "--n", "100"],
+            ["crank-row", "--n", "10"],
+        ],
+    )
+    def test_memory_guard_aborts_cleanly(self, runner, monkeypatch, args):
+        monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", "10")
+        res = runner.invoke(cli, args, obj={})
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("aborted: ")
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
+
+    def test_compute_time_guard(self, runner, monkeypatch):
+        monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0")
+        res = runner.invoke(cli, ["compute", "--m", "100", "--n", "100"], obj={})
+        assert res.exit_code == 2
+        assert res.stderr.startswith("aborted: time budget")
+
+
 class TestVerify:
     def test_default_passes(self, runner):
         res = invoke(runner, ["verify", "--box", "5"])

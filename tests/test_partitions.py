@@ -2,10 +2,14 @@ import pytest
 
 from steadyparts.partitions import (
     build_c_table,
+    build_g_table,
     build_p_table,
     c_values_via_convolution,
+    c_values_via_inversion,
+    divide_by_euler,
     p_values_via_inversion,
 )
+from steadyparts.series import BigSeries, euler_product, mul
 
 
 def count_partitions(n):
@@ -25,6 +29,17 @@ def p2000():
 @pytest.fixture(scope="module")
 def c2000():
     return build_c_table(2000)
+
+
+@pytest.fixture(scope="module")
+def c2000_dense():
+    """c by inverting the dense product (q;q)(q^2;q^2)."""
+    return c_values_via_inversion(2000)
+
+
+@pytest.fixture(scope="module")
+def c2000_convolved(p2000):
+    return c_values_via_convolution(2000, p2000)
 
 
 class TestPartitionTable:
@@ -69,5 +84,34 @@ class TestCubicTable:
         for n in range(2, 2001):
             assert c2000.c(n) >= p2000.p(n)
 
-    def test_inversion_matches_convolution(self, p2000, c2000):
-        assert c2000.values() == c_values_via_convolution(2000, p2000)
+    def test_inversion_matches_convolution(self, c2000_dense, c2000_convolved):
+        assert c2000_dense == c2000_convolved
+
+    def test_sparse_division_matches_oracles(self, c2000, c2000_dense, c2000_convolved):
+        assert c2000.values() == c2000_dense
+        assert c2000.values() == c2000_convolved
+
+
+class TestGTable:
+    def test_is_c_times_p(self, p2000, c2000):
+        G = build_g_table(400)
+        for n in range(401):
+            assert G.coeff(n) == sum(c2000.c(k) * p2000.p(n - k) for k in range(n + 1))
+
+    def test_small_values(self):
+        # 1/((q;q)^2 (q^2;q^2)) = 1 + 2q + 6q^2 + 12q^3 + ...
+        assert build_g_table(3).values() == (1, 2, 6, 12)
+
+
+class TestDivideByEuler:
+    def test_times_euler_product_is_identity(self):
+        # dividing 1 by (q^s;q^s) and multiplying back gives 1
+        for step in (1, 2, 3):
+            quotient = divide_by_euler([1] + [0] * 60, step)
+            back = mul(BigSeries(quotient), euler_product(step, 60))
+            assert back.coeffs == (1,) + (0,) * 60
+
+    def test_in_place(self):
+        coeffs = [1, 0, 0, 0]
+        assert divide_by_euler(coeffs) is coeffs
+        assert coeffs == [1, 1, 2, 3]
