@@ -15,10 +15,8 @@ from .asymptotics import (
 )
 from .bipartite import (
     AlphaCache,
-    BipartiteTable,
     SteadyPair,
     alpha,
-    build_pi_table,
     d_value,
     d_value_by_crank,
     d_value_by_difference,
@@ -41,8 +39,6 @@ from .crank import (
 from .formatting import ratio_string, sci_from_int, sci_from_log
 from .partitions import (
     CoefficientTable,
-    CubicTable,
-    PartitionTable,
     build_c_table,
     build_g_table,
     build_p_table,
@@ -53,10 +49,6 @@ from .partitions import (
 )
 from .series import (
     BigSeries,
-    BiSeries,
-    LaurentQSeries,
-    bi_divide_by_binomial,
-    bi_mul,
     euler_product,
     invert,
     mul,

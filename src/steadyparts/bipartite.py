@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .crank import CrankTable
-from .partitions import CoefficientTable, CubicTable, PartitionTable
-from .series import BiSeries, bi_divide_by_binomial, bi_mul
+from .partitions import CoefficientTable
 
 
 def pi_value(m: int, n: int, G: CoefficientTable) -> int:
@@ -84,7 +83,7 @@ class AlphaCache:
 
     __slots__ = ("p_table", "_memo")
 
-    def __init__(self, p_table: PartitionTable):
+    def __init__(self, p_table: CoefficientTable):
         self.p_table = p_table
         self._memo: Dict[Tuple[int, int], int] = {}
 
@@ -97,7 +96,7 @@ class AlphaCache:
         return v
 
 
-def alpha(s: int, k: int, p_table: PartitionTable) -> int:
+def alpha(s: int, k: int, p_table: CoefficientTable) -> int:
     """alpha(s, k) = sum over l >= 0 of (-1)^l p(k - l(l+1)/2 - l s).
 
     The sum is finite: terms vanish once l(l+1)/2 + l s exceeds k, so the
@@ -113,7 +112,7 @@ def alpha(s: int, k: int, p_table: PartitionTable) -> int:
         arg = k - l * (l + 1) // 2 - l * s
         if arg < 0:
             break
-        total += -p_table.p(arg) if l % 2 else p_table.p(arg)
+        total += -p_table.coeff(arg) if l % 2 else p_table.coeff(arg)
         l += 1
     return total
 
@@ -121,8 +120,8 @@ def alpha(s: int, k: int, p_table: PartitionTable) -> int:
 def pi_value_by_alpha(
     m: int,
     n: int,
-    c_table: CubicTable,
-    p_table: PartitionTable,
+    c_table: CoefficientTable,
+    p_table: CoefficientTable,
     alpha_cache: Optional[AlphaCache] = None,
 ) -> int:
     """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k)."""
@@ -138,11 +137,11 @@ def pi_value_by_alpha(
     for k in range(mu + 1):
         a = alpha_cache.alpha(s, k)
         if a:
-            total += c_table.c(mu - k) * a
+            total += c_table.coeff(mu - k) * a
     return total
 
 
-def d_value_by_crank(m: int, n: int, c_table: CubicTable, crank_table: CrankTable) -> int:
+def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, crank_table: CrankTable) -> int:
     """Oracle for D(m, n) through the crank convolution:
 
         D(m,n) = sum_{0 <= k <= L} c(L - k) M(n - L, n - L + k),
@@ -164,15 +163,15 @@ def d_value_by_crank(m: int, n: int, c_table: CubicTable, crank_table: CrankTabl
     for k in range(L + 1):
         mk = crank_table.value(base, base + k)
         if mk:
-            total += c_table.c(L - k) * mk
+            total += c_table.coeff(L - k) * mk
     return total
 
 
 def d_value_by_difference(
     m: int,
     n: int,
-    c_table: CubicTable,
-    p_table: PartitionTable,
+    c_table: CoefficientTable,
+    p_table: CoefficientTable,
     alpha_cache: Optional[AlphaCache] = None,
 ) -> int:
     """Oracle for D(m, n): pi(m,n) - pi(m-1,n) by the c/alpha convolution,
@@ -263,66 +262,30 @@ def enumerate_steady(
     return count(m, n, max(m, n)), None
 
 
-class BipartiteTable:
-    """Rectangular table of exact pi(m, n) values on a box."""
-
-    __slots__ = ("_grid",)
-
-    def __init__(self, grid):
-        self._grid = tuple(tuple(int(v) for v in row) for row in grid)
-
-    @property
-    def x_order(self) -> int:
-        return len(self._grid) - 1
-
-    @property
-    def y_order(self) -> int:
-        return len(self._grid[0]) - 1
-
-    def pi(self, m: int, n: int) -> int:
-        return self._grid[m][n]
-
-
 class ProductCapExceeded(ValueError):
     pass
 
 
-def gf_table(M: int, N: int, cap: int = 60) -> BipartiteTable:
-    """Expand the Carlitz product over the (M+1) x (N+1) box.
+def gf_table(M: int, N: int, cap: int = 60) -> tuple:
+    """Expand the Carlitz product over the (M+1) x (N+1) box; pi(m, n) is
+    g[m][n] of the returned tuple of row tuples.
 
-    Factor cutoffs (each factor is 1/(1 - x^a y^b) applied geometrically):
-      - x (xy)^j : x-degree j+1, y-degree j  -> needs j+1 <= M and j <= N;
-      - y (xy)^j : x-degree j, y-degree j+1  -> needs j <= M and j+1 <= N;
-      - (xy)^{2j}: needs 2j <= M and 2j <= N.
+    Starting from 1, every factor 1/(1 - x^a y^b) of the product is applied
+    in place as a geometric series, g[i][k] += g[i - a][k - b] in ascending
+    order: x (xy)^j and y (xy)^j for j >= 0, (xy)^{2j} for j >= 1.  A factor
+    whose degrees leave the box changes nothing.
     """
     if M < 0 or N < 0:
         raise ValueError("box bounds must be nonnegative")
     if max(M, N) > cap:
         raise ProductCapExceeded(f"box bound {max(M, N)} exceeds the product cap {cap}")
-    one = BiSeries.one(M, N)
-
-    px = one
-    j = 0
-    while j + 1 <= M and j <= N:
-        px = bi_divide_by_binomial(px, j + 1, j)
-        j += 1
-
-    py = one
-    j = 0
-    while j <= M and j + 1 <= N:
-        py = bi_divide_by_binomial(py, j, j + 1)
-        j += 1
-
-    pdiag = one
-    j = 1
-    while 2 * j <= M and 2 * j <= N:
-        pdiag = bi_divide_by_binomial(pdiag, 2 * j, 2 * j)
-        j += 1
-
-    product = bi_mul(bi_mul(px, pdiag), py)
-    return BipartiteTable(product.coeffs)
-
-
-def build_pi_table(M: int, N: int, G: CoefficientTable) -> BipartiteTable:
-    """pi on the (M+1) x (N+1) box through the G sums."""
-    return BipartiteTable([[pi_value(m, n, G) for n in range(N + 1)] for m in range(M + 1)])
+    g = [[0] * (N + 1) for _ in range(M + 1)]
+    g[0][0] = 1
+    factors = [(j + 1, j) for j in range(M)] + [(j, j + 1) for j in range(N)]
+    factors += [(2 * j, 2 * j) for j in range(1, min(M, N) // 2 + 1)]
+    for a, b in factors:
+        for i in range(a, M + 1):
+            src, dst = g[i - a], g[i]
+            for k in range(b, N + 1):
+                dst[k] += src[k - b]
+    return tuple(map(tuple, g))

@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import click
@@ -40,7 +40,6 @@ from .crank import build_crank_table, crank_value_direct
 from .formatting import ratio_string, sci_from_int, sci_from_log
 from .partitions import (
     CoefficientTable,
-    CubicTable,
     build_g_table,
     build_p_table,
     c_values_via_inversion,
@@ -53,12 +52,13 @@ DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
 _BYTES_PER_CELL = 256
 
 
-class GuardExceeded(RuntimeError):
-    pass
-
-
 class ResourceGuard:
-    """Coarse time/memory guard checked between (and inside) long phases."""
+    """Coarse time/memory guard for one command, used as a context manager.
+
+    The time budget is one SIGALRM timer, armed on entry and disarmed on exit;
+    when it fires, the command aborts wherever it is, inside table builds
+    too.  The memory budget is checked before a table is built.
+    """
 
     def __init__(self, time_limit_s: float | None = None, mem_limit_bytes: int | None = None):
         env_t = os.environ.get("STEADYPARTS_TIME_LIMIT_S")
@@ -69,25 +69,32 @@ class ResourceGuard:
         self.mem_limit_bytes = mem_limit_bytes if mem_limit_bytes is not None else (
             int(env_m) if env_m else DEFAULT_MEM_LIMIT_BYTES
         )
-        self.start = time.monotonic()
 
-    def check_time(self):
-        if time.monotonic() - self.start > self.time_limit_s:
-            raise GuardExceeded(
-                f"time budget of {self.time_limit_s:.0f}s exceeded"
-            )
+    def _time_out(self, signum=None, frame=None):
+        _fail_guard(f"time budget of {self.time_limit_s:g}s exceeded")
+
+    def __enter__(self):
+        if self.time_limit_s <= 0:
+            self._time_out()
+        self._previous = signal.signal(signal.SIGALRM, self._time_out)
+        signal.setitimer(signal.ITIMER_REAL, self.time_limit_s)
+        return self
+
+    def __exit__(self, *exc_info):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._previous)
 
     def require_cells(self, cells: int):
         need = cells * _BYTES_PER_CELL
         if need > self.mem_limit_bytes:
-            raise GuardExceeded(
+            _fail_guard(
                 f"request needs ~{need} bytes of table storage, "
                 f"budget is {self.mem_limit_bytes}"
             )
 
 
-def _fail_guard(exc: GuardExceeded):
-    click.echo(f"aborted: {exc}", err=True)
+def _fail_guard(reason: str):
+    click.echo(f"aborted: {reason}", err=True)
     sys.exit(2)
 
 
@@ -98,6 +105,8 @@ def cli(ctx, threads):
     """Exact bipartite partition counts and their uniform asymptotics."""
     ctx.ensure_object(dict)
     ctx.obj["threads"] = threads
+    # the time budget runs until the subcommand returns
+    ctx.obj["guard"] = ctx.with_resource(ResourceGuard())
 
 
 def _table1_rows(l_values, threads, guard):
@@ -105,7 +114,6 @@ def _table1_rows(l_values, threads, guard):
     mu_max = max(L * L for L in l_values)
     guard.require_cells(mu_max + 1)
     G = build_g_table(mu_max)
-    guard.check_time()
 
     cells = []
     for L in sorted(l_values):
@@ -132,7 +140,6 @@ def _table1_rows(l_values, threads, guard):
     else:
         rows = [one(cell) for cell in cells]
     rows.sort(key=lambda r: (r["L"], r["n"]))
-    guard.check_time()
     return rows
 
 
@@ -148,11 +155,7 @@ def table1(ctx, l_list, fmt):
         raise click.BadParameter(f"cannot parse L list {l_list!r}")
     if not l_values or min(l_values) < 1:
         raise click.BadParameter("L values must be positive integers")
-    guard = ResourceGuard()
-    try:
-        rows = _table1_rows(l_values, ctx.obj["threads"], guard)
-    except GuardExceeded as exc:
-        _fail_guard(exc)
+    rows = _table1_rows(l_values, ctx.obj["threads"], ctx.obj["guard"])
     if fmt == "csv":
         click.echo("L,pi,A,ratio")
         for r in rows:
@@ -175,15 +178,10 @@ def table1(ctx, l_list, fmt):
 @click.pass_context
 def compute(ctx, m, n):
     """Exact pi(m,n) and D(m,n) for one cell, with asymptotics and ratios."""
-    guard = ResourceGuard()
     mu = min(m, n)
-    try:
-        # D needs G up to min(m, 2n - m), which is at most mu
-        guard.require_cells(mu + 1)
-        G = build_g_table(mu)
-        guard.check_time()
-    except GuardExceeded as exc:
-        _fail_guard(exc)
+    # D needs G up to min(m, 2n - m), which is at most mu
+    ctx.obj["guard"].require_cells(mu + 1)
+    G = build_g_table(mu)
     v = pi_value(m, n, G)
     click.echo(f"pi({m},{n}) = {v}")
     if v > 0 and mu >= 1:
@@ -214,7 +212,7 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
     expansion and brute-force enumeration.
     """
     p = build_p_table(max(marginal_n, telescope_n, 2 * box))
-    c = CubicTable(c_values_via_inversion(max(telescope_n, box)))
+    c = CoefficientTable(c_values_via_inversion(max(telescope_n, box)))
     G = build_g_table(max(telescope_n, box))
     if fault:
         # negative control: corrupt one G value and watch the checks fail
@@ -231,7 +229,7 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
         if not (
             pi_value(m, n, G)
             == pi_value_by_alpha(m, n, c, p, cache)
-            == g.pi(m, n)
+            == g[m][n]
             == enumerate_steady(m, n, cap=2 * box)[0]
         )
     )
@@ -254,15 +252,11 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
     yield ("telescoping D identity", bad == 0, f"{checked} cells, n <= {telescope_n}")
 
     crank_big = build_crank_table(marginal_n) if marginal_n > telescope_n else crank
-    bad = sum(1 for n in range(marginal_n + 1) if crank_big.row_sum(n) != p.p(n))
+    bad = sum(1 for n in range(marginal_n + 1) if crank_big.row_sum(n) != p.coeff(n))
     yield ("crank marginals equal p(n)", bad == 0, f"n <= {marginal_n}")
 
-    bad = sum(
-        1
-        for m in range(box + 1)
-        for n in range(m)
-        if pi_value(m, n, G) != pi_value(n, m, G)
-    )
+    # pi(m, n) through G against pi(n, m) from the box expansion
+    bad = sum(1 for m in range(box + 1) for n in range(m) if pi_value(m, n, G) != g[n][m])
     yield ("pi symmetry", bad == 0, f"box {box}x{box}")
 
     if deep:
@@ -290,19 +284,14 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
 @click.pass_context
 def verify(ctx, deep, box, inject_fault):
     """Run the oracle cross-check suites; exit nonzero on any failure."""
-    guard = ResourceGuard()
     failures = 0
-    try:
-        for name, passed, detail in _verify_checks(
-            box=box, telescope_n=40, marginal_n=100, deep=deep, fault=inject_fault
-        ):
-            guard.check_time()
-            status = "PASS" if passed else "FAIL"
-            click.echo(f"{status}  {name} ({detail})")
-            if not passed:
-                failures += 1
-    except GuardExceeded as exc:
-        _fail_guard(exc)
+    for name, passed, detail in _verify_checks(
+        box=box, telescope_n=40, marginal_n=100, deep=deep, fault=inject_fault
+    ):
+        status = "PASS" if passed else "FAIL"
+        click.echo(f"{status}  {name} ({detail})")
+        if not passed:
+            failures += 1
     if failures:
         click.echo(f"{failures} check(s) failed", err=True)
         sys.exit(1)
@@ -312,15 +301,11 @@ def verify(ctx, deep, box, inject_fault):
 @cli.command("crank-row")
 @click.option("--n", "n", required=True, type=click.IntRange(min=0))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="text", show_default=True)
-def crank_row(n, fmt):
+@click.pass_context
+def crank_row(ctx, n, fmt):
     """Crank counts M(m, n) for m = -n .. n at a single n."""
-    guard = ResourceGuard()
-    try:
-        guard.require_cells(n + 1)
-        p = build_p_table(n)
-        guard.check_time()
-    except GuardExceeded as exc:
-        _fail_guard(exc)
+    ctx.obj["guard"].require_cells(n + 1)
+    p = build_p_table(n)
     values = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)] or [(0, 1)]
     if fmt == "csv":
         click.echo("m,M")

@@ -8,7 +8,7 @@ expanded as a q-series with Laurent coefficients in zeta.  Three routes
 produce the same numbers and are compared in the tests:
 
 * ``build_crank_table``          -- quotient-of-products expansion (geometric
-                                    factor sweep over a LaurentQSeries);
+                                    factors swept in place over one grid);
 * ``build_crank_table_lambert``  -- the (1 - zeta) * Lambert-sum form of the
                                     same generating function;
 * ``crank_column``               -- a closed form in p(n) for one fixed crank
@@ -23,10 +23,11 @@ this down; it is what makes the D(m,n) convolution identity exact.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Dict, Iterable, Iterator, Sequence
 
-from .partitions import PartitionTable, build_p_table
-from .series import BigSeries, LaurentQSeries, euler_product, invert
+from .partitions import CoefficientTable, build_p_table
+from .series import BigSeries, euler_product, invert, mul
 
 
 class CrankTable:
@@ -70,27 +71,29 @@ class CrankTable:
         return total
 
 
-def _columns_from_laurent(series: LaurentQSeries) -> CrankTable:
-    N = series.truncation_order
-    cols = {m: [series.coefficient(m, n) for n in range(N + 1)] for m in range(N + 1)}
-    return CrankTable(cols, N)
-
-
 def build_crank_table(N: int) -> CrankTable:
     """Full table to order N from the quotient-of-products form.
 
-    Starts with the finite product (q;q)_N and sweeps the geometric
-    inverse factors 1/(1 - zeta q^j) and 1/(1 - zeta^{-1} q^j) for
-    j = 1..N.  The zeta-span clamp to [-N, N] is lossless: every partial
-    product here has |zeta-degree| bounded by the q-degree.
+    Seeds a grid, zeta^m q^n at grid[m + N][n], with the finite product
+    (q;q)_N and multiplies it in place by the geometric factors
+    1/(1 - zeta q^j) and 1/(1 - zeta^{-1} q^j) for j = 1..N.  The zeta-span
+    clamp to [-N, N] is lossless: every partial product here has
+    |zeta-degree| bounded by the q-degree.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    acc = LaurentQSeries.from_q_series(euler_product(1, N), N)
+    grid = [[0] * (N + 1) for _ in range(2 * N + 1)]
+    grid[N] = list(euler_product(1, N).coeffs)
     for j in range(1, N + 1):
-        acc = acc.divided_by_one_minus(1, j)
-        acc = acc.divided_by_one_minus(-1, j)
-    return _columns_from_laurent(acc)
+        # new[off][n] = old[off][n] + new[off -+ 1][n - j]; sweeping the rows
+        # away from the source row finishes each source before it is read
+        for off in range(1, 2 * N + 1):
+            row = grid[off]
+            row[j:] = map(add, row[j:], grid[off - 1])
+        for off in range(2 * N - 1, -1, -1):
+            row = grid[off]
+            row[j:] = map(add, row[j:], grid[off + 1])
+    return CrankTable({m: grid[m + N] for m in range(N + 1)}, N)
 
 
 def build_crank_table_lambert(N: int) -> CrankTable:
@@ -107,30 +110,33 @@ def build_crank_table_lambert(N: int) -> CrankTable:
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    rows = [[0] * (N + 1) for _ in range(2 * N + 1)]
+    grid = [[0] * (N + 1) for _ in range(2 * N + 1)]
     k = 1
     while k * (k + 1) // 2 <= N:
         sign = -1 if k % 2 else 1
         base = k * (k + 1) // 2
         i = 0
         while base + k * i <= N and i <= N:
-            rows[i + N][base + k * i] += sign
+            grid[i + N][base + k * i] += sign
             i += 1
         j = k
         sign_neg = 1 if j % 2 else -1  # (-1)^(j+1)
         base = j * (j - 1) // 2
         i = 1
         while base + j * i <= N and i <= N:
-            rows[N - i][base + j * i] += sign_neg
+            grid[N - i][base + j * i] += sign_neg
             i += 1
         k += 1
-    tail = LaurentQSeries(rows, N).times_one_minus(1, 0)
-    full = tail.with_term_added(0, 0, 1)
-    full = full.mul_q(invert(euler_product(1, N)))
-    return _columns_from_laurent(full)
+    # times (1 - zeta): descending rows, so each source row is still the old one
+    for off in range(2 * N, 0, -1):
+        grid[off][:] = map(sub, grid[off], grid[off - 1])
+    grid[N][0] += 1
+    p_series = invert(euler_product(1, N))
+    cols = {m: mul(BigSeries(grid[m + N]), p_series).coeffs for m in range(N + 1)}
+    return CrankTable(cols, N)
 
 
-def crank_column(m: int, N: int, p_table: PartitionTable) -> tuple:
+def crank_column(m: int, N: int, p_table: CoefficientTable) -> tuple:
     """The q-expansion of the crank-m column, via partition numbers:
 
         M(m, n) = sum_{k >= 1} (-1)^{k-1}
@@ -150,14 +156,14 @@ def crank_column(m: int, N: int, p_table: PartitionTable) -> tuple:
         a = k * (k - 1) // 2 + m * k
         b = k * (k + 1) // 2 + m * k
         for n in range(a, N + 1):
-            col[n] += sign * p_table.p(n - a)
+            col[n] += sign * p_table.coeff(n - a)
         for n in range(b, N + 1):
-            col[n] -= sign * p_table.p(n - b)
+            col[n] -= sign * p_table.coeff(n - b)
         k += 1
     return tuple(col)
 
 
-def build_crank_columns(ms: Iterable[int], N: int, p_table: PartitionTable | None = None) -> CrankTable:
+def build_crank_columns(ms: Iterable[int], N: int, p_table: CoefficientTable | None = None) -> CrankTable:
     """Table holding only the requested crank columns, built per column."""
     if p_table is None:
         p_table = build_p_table(N)
@@ -165,7 +171,7 @@ def build_crank_columns(ms: Iterable[int], N: int, p_table: PartitionTable | Non
     return CrankTable(cols, N)
 
 
-def crank_value_direct(m: int, n: int, p_table: PartitionTable) -> int:
+def crank_value_direct(m: int, n: int, p_table: CoefficientTable) -> int:
     """Single M(m, n) from the closed form, without building a column."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -177,8 +183,8 @@ def crank_value_direct(m: int, n: int, p_table: PartitionTable) -> int:
     while k * (k - 1) // 2 + m * k <= n:
         sign = 1 if k % 2 else -1
         total += sign * (
-            p_table.p(n - k * (k - 1) // 2 - m * k)
-            - p_table.p(n - k * (k + 1) // 2 - m * k)
+            p_table.coeff(n - k * (k - 1) // 2 - m * k)
+            - p_table.coeff(n - k * (k + 1) // 2 - m * k)
         )
         k += 1
     return total

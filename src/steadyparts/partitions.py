@@ -45,20 +45,6 @@ class CoefficientTable:
         return self._values
 
 
-class PartitionTable(CoefficientTable):
-    """p(n) for 0 <= n <= max_index."""
-
-    __slots__ = ()
-    p = CoefficientTable.coeff
-
-
-class CubicTable(CoefficientTable):
-    """c(n) for 0 <= n <= max_index (even parts in two colours)."""
-
-    __slots__ = ()
-    c = CoefficientTable.coeff
-
-
 def _pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:
     """(step * generalized pentagonal number, sign) pairs up to `limit`,
     ascending; sign is the recurrence's: +1 for k odd, -1 for k even."""
@@ -100,11 +86,11 @@ def divide_by_euler(coeffs: list, step: int = 1) -> list:
     return coeffs
 
 
-def build_p_table(N: int) -> PartitionTable:
+def build_p_table(N: int) -> CoefficientTable:
     """Partition numbers up to N by Euler's pentagonal recurrence."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    return PartitionTable(divide_by_euler([1] + [0] * N))
+    return CoefficientTable(divide_by_euler([1] + [0] * N))
 
 
 def p_values_via_inversion(N: int) -> tuple:
@@ -112,11 +98,11 @@ def p_values_via_inversion(N: int) -> tuple:
     return invert(euler_product(1, N)).coeffs
 
 
-def build_c_table(N: int) -> CubicTable:
+def build_c_table(N: int) -> CoefficientTable:
     """Cubic partition numbers up to N: the p table divided by (q^2;q^2)_inf."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    return CubicTable(divide_by_euler(list(build_p_table(N).values()), 2))
+    return CoefficientTable(divide_by_euler(list(build_p_table(N).values()), 2))
 
 
 def build_g_table(N: int) -> CoefficientTable:
@@ -132,7 +118,7 @@ def c_values_via_inversion(N: int) -> tuple:
     return invert(mul(euler_product(1, N), euler_product(2, N))).coeffs
 
 
-def c_values_via_convolution(N: int, p_table: PartitionTable) -> tuple:
+def c_values_via_convolution(N: int, p_table: CoefficientTable) -> tuple:
     """Independent path: c(n) = sum over 2b <= n of p(n - 2b) p(b)."""
     if p_table.max_index < N:
         raise IndexError("p table too short for the requested convolution")
@@ -140,6 +126,6 @@ def c_values_via_convolution(N: int, p_table: PartitionTable) -> tuple:
     for n in range(N + 1):
         s = 0
         for b in range(n // 2 + 1):
-            s += p_table.p(n - 2 * b) * p_table.p(b)
+            s += p_table.coeff(n - 2 * b) * p_table.coeff(b)
         out.append(s)
     return tuple(out)

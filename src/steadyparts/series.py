@@ -1,13 +1,10 @@
-"""Truncated formal power series over Python's arbitrary-precision integers.
+"""Dense truncated power series in q over Python's arbitrary-precision integers.
 
-Three flavours live here:
-
-* ``BigSeries``      -- univariate in q, truncated at a fixed order N.
-* ``BiSeries``       -- bivariate in (x, y) with a rectangular box truncation
-                        (independent degree caps for each variable).
-* ``LaurentQSeries`` -- a q-series whose coefficients are Laurent polynomials
-                        in an auxiliary variable zeta, zeta-span clamped to
-                        [-N, N].
+``BigSeries`` is a series truncated (inclusively) at a fixed order N; ``mul``,
+``invert`` and ``euler_product`` are its schoolbook product, triangular
+inverse and the pentagonal expansion of (q^s;q^s)_inf.  They are the dense
+oracles: the sparse tables in ``partitions`` are checked against them, and the
+Lambert route in ``crank`` takes its 1/(q;q)_inf factor from them.
 
 Every coefficient is a plain Python int; no floats enter this module.
 Instances are immutable after construction and safe to share across threads.
@@ -15,7 +12,7 @@ Instances are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class BigSeries:
@@ -121,171 +118,3 @@ def euler_product(exponent_step: int, order: int) -> BigSeries:
         k += 1
     return BigSeries(out)
 
-
-class BiSeries:
-    """A bivariate series in (x, y), box-truncated at degrees (M, N)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self.coeffs = tuple(tuple(int(v) for v in row) for row in rows)
-        if not self.coeffs:
-            raise ValueError("empty BiSeries")
-        width = len(self.coeffs[0])
-        if any(len(row) != width for row in self.coeffs):
-            raise ValueError("ragged BiSeries rows")
-
-    @property
-    def x_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def y_order(self) -> int:
-        return len(self.coeffs[0]) - 1
-
-    def get(self, i: int, j: int) -> int:
-        if 0 <= i <= self.x_order and 0 <= j <= self.y_order:
-            return self.coeffs[i][j]
-        return 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    @classmethod
-    def one(cls, x_order: int, y_order: int) -> "BiSeries":
-        rows = [[0] * (y_order + 1) for _ in range(x_order + 1)]
-        rows[0][0] = 1
-        return cls(rows)
-
-
-def bi_mul(a: BiSeries, b: BiSeries) -> BiSeries:
-    """Box-truncated 2-D convolution; any term leaving the box is dropped."""
-    if (a.x_order, a.y_order) != (b.x_order, b.y_order):
-        raise ValueError("BiSeries box shapes must match")
-    M, N = a.x_order, a.y_order
-    out = [[0] * (N + 1) for _ in range(M + 1)]
-    bc = b.coeffs
-    for i, row in enumerate(a.coeffs):
-        for j, v in enumerate(row):
-            if not v:
-                continue
-            for k in range(M - i + 1):
-                brow = bc[k]
-                orow = out[i + k]
-                for l in range(N - j + 1):
-                    u = brow[l]
-                    if u:
-                        orow[j + l] += v * u
-    return BiSeries(out)
-
-
-def bi_divide_by_binomial(a: BiSeries, dx: int, dy: int) -> BiSeries:
-    """Multiply by the geometric series 1/(1 - x^dx y^dy) inside the box.
-
-    Needs (dx, dy) != (0, 0) so the recursion new[i][j] = a[i][j] +
-    new[i-dx][j-dy] terminates.
-    """
-    if dx < 0 or dy < 0 or (dx == 0 and dy == 0):
-        raise ValueError("binomial exponents must be nonnegative and not both zero")
-    M, N = a.x_order, a.y_order
-    out = [list(row) for row in a.coeffs]
-    for i in range(dx, M + 1):
-        src_i = out[i - dx]
-        dst_i = out[i]
-        for j in range(dy, N + 1):
-            dst_i[j] += src_i[j - dy]
-    return BiSeries(out)
-
-
-class LaurentQSeries:
-    """q-series with Laurent-polynomial coefficients in zeta.
-
-    The coefficient of zeta^m q^n (m in [-N, N], n in [0, N]) is stored at
-    rows[m + N][n]. Terms whose zeta exponent leaves [-N, N] are clamped
-    away; every quantity built here satisfies |m| <= n, so the clamp is
-    lossless in all finalized expansions.
-    """
-
-    __slots__ = ("rows", "truncation_order")
-
-    def __init__(self, rows: Sequence[Sequence[int]], truncation_order: int):
-        N = truncation_order
-        if len(rows) != 2 * N + 1 or any(len(r) != N + 1 for r in rows):
-            raise ValueError("LaurentQSeries shape must be (2N+1) x (N+1)")
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
-        self.truncation_order = N
-
-    @classmethod
-    def zeros(cls, truncation_order: int) -> "LaurentQSeries":
-        N = truncation_order
-        return cls([[0] * (N + 1) for _ in range(2 * N + 1)], N)
-
-    @classmethod
-    def from_q_series(cls, s: BigSeries, truncation_order: int) -> "LaurentQSeries":
-        N = truncation_order
-        rows = [[0] * (N + 1) for _ in range(2 * N + 1)]
-        for n in range(N + 1):
-            rows[N][n] = s[n]
-        return cls(rows, N)
-
-    def coefficient(self, m: int, n: int) -> int:
-        N = self.truncation_order
-        if not (0 <= n <= N):
-            raise IndexError(f"q-order {n} outside [0, {N}]")
-        if abs(m) > N:
-            return 0
-        return self.rows[m + N][n]
-
-    def divided_by_one_minus(self, zeta_exp: int, q_exp: int) -> "LaurentQSeries":
-        """Multiply by 1/(1 - zeta^zeta_exp q^q_exp); q_exp >= 1 required."""
-        if q_exp < 1:
-            raise ValueError("geometric factor needs a positive q exponent")
-        N = self.truncation_order
-        rows = [list(r) for r in self.rows]
-        # new[off][n] = old[off][n] + new[off - zeta_exp][n - q_exp]; the
-        # dependency is on strictly smaller n, so ascending n suffices.
-        for n in range(q_exp, N + 1):
-            for off in range(2 * N + 1):
-                src = off - zeta_exp
-                if 0 <= src <= 2 * N:
-                    rows[off][n] += rows[src][n - q_exp]
-        return LaurentQSeries(rows, N)
-
-    def times_one_minus(self, zeta_exp: int, q_exp: int) -> "LaurentQSeries":
-        """Multiply by (1 - zeta^zeta_exp q^q_exp)."""
-        N = self.truncation_order
-        rows = [list(r) for r in self.rows]
-        for off in range(2 * N + 1):
-            src = off - zeta_exp
-            if not 0 <= src <= 2 * N:
-                continue
-            old = self.rows[src]
-            new = rows[off]
-            for n in range(q_exp, N + 1):
-                new[n] -= old[n - q_exp]
-        return LaurentQSeries(rows, N)
-
-    def mul_q(self, s: BigSeries) -> "LaurentQSeries":
-        """Multiply by a pure q-series, row by row."""
-        N = self.truncation_order
-        sc = s.coeffs
-        out = []
-        for row in self.rows:
-            new = [0] * (N + 1)
-            for i, v in enumerate(row):
-                if v:
-                    for j in range(min(s.order, N - i) + 1):
-                        u = sc[j]
-                        if u:
-                            new[i + j] += v * u
-            out.append(new)
-        return LaurentQSeries(out, N)
-
-    def with_term_added(self, m: int, n: int, value: int) -> "LaurentQSeries":
-        N = self.truncation_order
-        rows = [list(r) for r in self.rows]
-        rows[m + N][n] += value
-        return LaurentQSeries(rows, N)

@@ -123,7 +123,7 @@ def test_criterion_3_three_way_equivalence(p_big, c_big, g_big, cache):
     for m in range(11):
         for n in range(11):
             fast = pi_value(m, n, g_big)
-            if not fast == pi_value_by_alpha(m, n, c_big, p_big, cache) == g.pi(m, n) == enumerate_steady(m, n)[0]:
+            if not fast == pi_value_by_alpha(m, n, c_big, p_big, cache) == g[m][n] == enumerate_steady(m, n)[0]:
                 bad += 1
     report("3. three-way oracle equivalence (121 cells)", bad == 0, f"{121 - bad}/121 agree")
 
@@ -149,7 +149,7 @@ def test_criterion_5_crank_soundness(p_big):
     table = build_crank_table(100)
     ok = True
     for n in range(101):
-        if table.row_sum(n) != p_big.p(n):
+        if table.row_sum(n) != p_big.coeff(n):
             ok = False
         for m in range(n + 1):
             if table.value(-m, n) != table.value(m, n):
@@ -180,7 +180,7 @@ def test_criterion_6_asymptotic_convergence(p_big, c_big, g_big):
     }
     ok_m = all(abs(r - 1) < 0.15 for r in m_ratios.values())
 
-    c_ratio = exact_over_asym(c_big.c(2000), asym_c(2000))
+    c_ratio = exact_over_asym(c_big.coeff(2000), asym_c(2000))
     ok_c = abs(c_ratio - 1) < 0.10
 
     d_ratio = exact_over_asym(d_value(2500, 2500, g_big), asym_D(2500, 2500))

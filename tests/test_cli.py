@@ -1,4 +1,6 @@
 import json
+import signal
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -104,6 +106,18 @@ class TestGuard:
         assert res.exit_code == 2
         assert res.stderr.startswith("aborted: time budget")
 
+    def test_time_guard_fires_inside_table_build(self, runner, monkeypatch):
+        # G up to 40000 takes seconds; the timer must stop the build itself
+        monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0.2")
+        start = time.monotonic()
+        res = runner.invoke(cli, ["compute", "--m", "40000", "--n", "40000"], obj={})
+        elapsed = time.monotonic() - start
+        assert res.exit_code == 2
+        assert res.stderr.startswith("aborted: time budget of 0.2s exceeded")
+        assert res.stdout == ""
+        assert elapsed < 1.5
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
 
 class TestVerify:
     def test_default_passes(self, runner):
@@ -116,6 +130,8 @@ class TestVerify:
         res = runner.invoke(cli, ["verify", "--box", "5", "--inject-fault"], obj={})
         assert res.exit_code == 1
         assert "FAIL" in res.output
+        # the G route against the box expansion read transposed
+        assert "FAIL  pi symmetry (box 5x5)" in res.output
 
 
 class TestCrankRow:

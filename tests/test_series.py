@@ -2,15 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steadyparts.series import (
-    BiSeries,
-    BigSeries,
-    bi_divide_by_binomial,
-    bi_mul,
-    euler_product,
-    invert,
-    mul,
-)
+from steadyparts.series import BigSeries, euler_product, invert, mul
 
 
 def expand_finite_product(factors, order):
@@ -139,34 +131,3 @@ class TestAlgebraicProperties:
     def test_invert_at_large_orders(self, order):
         a = euler_product(1, order)
         assert mul(a, invert(a)) == BigSeries.one(order)
-
-
-class TestBiSeries:
-    def test_simple_product(self):
-        one_plus_x = BiSeries([[1, 0], [1, 0]])
-        one_plus_y = BiSeries([[1, 1], [0, 0]])
-        assert bi_mul(one_plus_x, one_plus_y) == BiSeries([[1, 1], [1, 1]])
-
-    def test_identity(self):
-        a = BiSeries([[1, 2, 3], [4, 5, 6]])
-        assert bi_mul(a, BiSeries.one(1, 2)) == a
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            bi_mul(BiSeries.one(1, 1), BiSeries.one(2, 2))
-
-    def test_box_truncation_drops_overflow(self):
-        x = BiSeries([[0, 0], [1, 0]])
-        assert bi_mul(x, x) == BiSeries([[0, 0], [0, 0]])
-
-    def test_divide_by_binomial_is_geometric(self):
-        # 1/(1-x) on a 3 x 0 box is 1 + x + x^2 + x^3
-        g = bi_divide_by_binomial(BiSeries.one(3, 0), 1, 0)
-        assert g == BiSeries([[1], [1], [1], [1]])
-
-    def test_divide_then_multiply_back(self):
-        a = BiSeries([[1, 2, 1], [0, 1, 3], [2, 0, 1]])
-        g = bi_divide_by_binomial(a, 1, 2)
-        # multiply back by (1 - x y^2) and compare
-        back = [[g.get(i, j) - g.get(i - 1, j - 2) for j in range(3)] for i in range(3)]
-        assert BiSeries(back) == a
