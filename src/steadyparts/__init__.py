@@ -4,17 +4,14 @@ crank tables, cubic partitions, and their uniform asymptotics."""
 from .asymptotics import (
     C,
     KAPPA,
-    LogValue,
     asym_D,
     asym_M,
     asym_c,
     asym_p,
     asym_pi,
     f_saddle,
-    log_of_bigint,
 )
 from .bipartite import (
-    AlphaCache,
     SteadyPair,
     alpha,
     d_value,
@@ -26,8 +23,6 @@ from .bipartite import (
     pi_value_by_alpha,
 )
 from .crank import (
-    CrankTable,
-    build_crank_columns,
     build_crank_table,
     build_crank_table_lambert,
     crank_column,

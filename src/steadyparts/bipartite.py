@@ -11,7 +11,7 @@ sum of O(sqrt(mu)) coefficients of G = c * p, the series
 
 Independent routes are kept as oracles, for the tests and ``verify`` only:
 
-* ``pi_value_by_alpha``     -- the c/alpha convolution (with ``AlphaCache``);
+* ``pi_value_by_alpha``     -- the c/alpha convolution, ``alpha`` memoised;
 * ``d_value_by_crank``      -- D through the crank convolution c * M;
 * ``d_value_by_difference`` -- D as a difference of two c/alpha values;
 * ``gf_table``              -- direct box expansion of the Carlitz generating
@@ -23,9 +23,9 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
-from .crank import CrankTable
 from .partitions import CoefficientTable
 
 
@@ -78,29 +78,13 @@ def d_value(m: int, n: int, G: CoefficientTable) -> int:
     return total
 
 
-class AlphaCache:
-    """Memo for alpha(s, k); one s-slice is reused across a whole diagonal."""
-
-    __slots__ = ("p_table", "_memo")
-
-    def __init__(self, p_table: CoefficientTable):
-        self.p_table = p_table
-        self._memo: Dict[Tuple[int, int], int] = {}
-
-    def alpha(self, s: int, k: int) -> int:
-        key = (s, k)
-        v = self._memo.get(key)
-        if v is None:
-            v = alpha(s, k, self.p_table)
-            self._memo[key] = v
-        return v
-
-
+@cache
 def alpha(s: int, k: int, p_table: CoefficientTable) -> int:
     """alpha(s, k) = sum over l >= 0 of (-1)^l p(k - l(l+1)/2 - l s).
 
     The sum is finite: terms vanish once l(l+1)/2 + l s exceeds k, so the
-    loop runs for O(sqrt(k)) iterations.
+    loop runs for O(sqrt(k)) iterations.  Memoised per (s, k, p_table): one
+    s-slice is reused across a whole diagonal.
     """
     if s < 0 or k < 0:
         raise ValueError("alpha takes nonnegative arguments")
@@ -117,13 +101,7 @@ def alpha(s: int, k: int, p_table: CoefficientTable) -> int:
     return total
 
 
-def pi_value_by_alpha(
-    m: int,
-    n: int,
-    c_table: CoefficientTable,
-    p_table: CoefficientTable,
-    alpha_cache: Optional[AlphaCache] = None,
-) -> int:
+def pi_value_by_alpha(m: int, n: int, c_table: CoefficientTable, p_table: CoefficientTable) -> int:
     """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k)."""
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
@@ -131,23 +109,23 @@ def pi_value_by_alpha(
     s = abs(m - n)
     if c_table.max_index < mu or p_table.max_index < mu:
         raise IndexError("tables too short for pi_value_by_alpha")
-    if alpha_cache is None:
-        alpha_cache = AlphaCache(p_table)
     total = 0
     for k in range(mu + 1):
-        a = alpha_cache.alpha(s, k)
+        a = alpha(s, k, p_table)
         if a:
             total += c_table.coeff(mu - k) * a
     return total
 
 
-def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, crank_table: CrankTable) -> int:
+def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
     """Oracle for D(m, n) through the crank convolution:
 
         D(m,n) = sum_{0 <= k <= L} c(L - k) M(n - L, n - L + k),
         L = min(2n - m, m),
 
-    and D(m,n) = 0 outright when m > 2n.
+    and D(m,n) = 0 outright when m > 2n.  `M` is anything indexed M[m][n]:
+    the rows of a full crank table, or {0: crank_column(0, N, p)} for
+    the diagonal cells, which read only row 0.
     """
     if m < 0 or n < 0:
         raise ValueError("d_value_by_crank takes nonnegative arguments")
@@ -156,30 +134,23 @@ def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, crank_table: Cra
     L = min(2 * n - m, m)
     if c_table.max_index < L:
         raise IndexError("c table too short for d_value_by_crank")
-    if crank_table.max_order < n:
-        raise IndexError("crank table too short for d_value_by_crank")
     base = n - L
+    row = M[base]
+    if len(row) <= n:
+        raise IndexError("crank table too short for d_value_by_crank")
     total = 0
     for k in range(L + 1):
-        mk = crank_table.value(base, base + k)
+        mk = row[base + k]
         if mk:
             total += c_table.coeff(L - k) * mk
     return total
 
 
-def d_value_by_difference(
-    m: int,
-    n: int,
-    c_table: CoefficientTable,
-    p_table: CoefficientTable,
-    alpha_cache: Optional[AlphaCache] = None,
-) -> int:
+def d_value_by_difference(m: int, n: int, c_table: CoefficientTable, p_table: CoefficientTable) -> int:
     """Oracle for D(m, n): pi(m,n) - pi(m-1,n) by the c/alpha convolution,
     with pi(-1,n) = 0."""
-    if alpha_cache is None:
-        alpha_cache = AlphaCache(p_table)
-    hi = pi_value_by_alpha(m, n, c_table, p_table, alpha_cache)
-    lo = 0 if m == 0 else pi_value_by_alpha(m - 1, n, c_table, p_table, alpha_cache)
+    hi = pi_value_by_alpha(m, n, c_table, p_table)
+    lo = 0 if m == 0 else pi_value_by_alpha(m - 1, n, c_table, p_table)
     return hi - lo
 
 

@@ -1,15 +1,13 @@
 """Presentation helpers: scientific notation and ratio strings.
 
 Exact integers are rounded half-to-even on the 6th significant digit;
-log-domain values are converted through base-10 mantissa/exponent form.
+natural logs (floats) are converted through base-10 mantissa/exponent form.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN
-
-from .asymptotics import LogValue
 
 _LN10 = math.log(10.0)
 
@@ -26,11 +24,9 @@ def sci_from_int(v: int, sig: int = 6) -> str:
     return f"{digits[0]}.{digits[1:]}e{exp10}"
 
 
-def sci_from_log(lv: LogValue, sig: int = 6) -> str:
-    """Scientific-notation string for a log-domain value."""
-    if lv.is_zero():
-        return "0"
-    l10 = lv.log / _LN10
+def sci_from_log(log: float, sig: int = 6) -> str:
+    """Scientific-notation string for the value whose natural log is `log`."""
+    l10 = log / _LN10
     exp10 = math.floor(l10)
     mantissa = 10.0 ** (l10 - exp10)
     s = f"{mantissa:.{sig - 1}f}"
@@ -40,6 +36,7 @@ def sci_from_log(lv: LogValue, sig: int = 6) -> str:
     return f"{s}e{exp10}"
 
 
-def ratio_string(numer: LogValue, denom: LogValue, places: int = 4) -> str:
-    """numer/denom printed with a fixed number of decimals."""
-    return f"{math.exp(numer.log - denom.log):.{places}f}"
+def ratio_string(log_numer: float, log_denom: float, places: int = 4) -> str:
+    """numer/denom, given as natural logs, printed with a fixed number of
+    decimals."""
+    return f"{math.exp(log_numer - log_denom):.{places}f}"

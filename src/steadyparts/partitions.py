@@ -14,6 +14,7 @@ c(n) = sum p(n - 2b) p(b).
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .series import euler_product, invert, mul
@@ -122,10 +123,6 @@ def c_values_via_convolution(N: int, p_table: CoefficientTable) -> tuple:
     """Independent path: c(n) = sum over 2b <= n of p(n - 2b) p(b)."""
     if p_table.max_index < N:
         raise IndexError("p table too short for the requested convolution")
-    out = []
-    for n in range(N + 1):
-        s = 0
-        for b in range(n // 2 + 1):
-            s += p_table.coeff(n - 2 * b) * p_table.coeff(b)
-        out.append(s)
-    return tuple(out)
+    p = p_table.values()
+    # p[n::-2] is p(n - 2b) for b = 0..n//2
+    return tuple(sum(map(operator.mul, p[n::-2], p[: n // 2 + 1])) for n in range(N + 1))

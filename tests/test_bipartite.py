@@ -3,7 +3,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steadyparts.bipartite import (
-    AlphaCache,
     EnumerationCapExceeded,
     ProductCapExceeded,
     SteadyPair,
@@ -16,7 +15,7 @@ from steadyparts.bipartite import (
     pi_value,
     pi_value_by_alpha,
 )
-from steadyparts.crank import build_crank_columns, build_crank_table
+from steadyparts.crank import build_crank_table, crank_column
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
 
 
@@ -38,11 +37,6 @@ def g_table():
 @pytest.fixture(scope="module")
 def crank60():
     return build_crank_table(60)
-
-
-@pytest.fixture(scope="module")
-def cache(p_table):
-    return AlphaCache(p_table)
 
 
 class TestAlpha:
@@ -107,12 +101,12 @@ class TestPiValue:
 
         assert sci_from_int(pi_value(100, 100, build_g_table(100))) == "2.02082e13"
 
-    def test_symmetry(self, g_table, c_table, p_table, cache):
+    def test_symmetry(self, g_table, c_table, p_table):
         for m in range(25):
             for n in range(m):
                 assert pi_value(m, n, g_table) == pi_value(n, m, g_table)
-                assert pi_value_by_alpha(m, n, c_table, p_table, cache) == pi_value_by_alpha(
-                    n, m, c_table, p_table, cache
+                assert pi_value_by_alpha(m, n, c_table, p_table) == pi_value_by_alpha(
+                    n, m, c_table, p_table
                 )
 
     def test_short_table_raises(self):
@@ -123,12 +117,12 @@ class TestPiValue:
 
 
 class TestThreeWayAgreement:
-    def test_box_ten(self, g_table, c_table, p_table, cache):
+    def test_box_ten(self, g_table, c_table, p_table):
         g = gf_table(10, 10)
         for m in range(11):
             for n in range(11):
                 fast = pi_value(m, n, g_table)
-                assert fast == pi_value_by_alpha(m, n, c_table, p_table, cache), (m, n)
+                assert fast == pi_value_by_alpha(m, n, c_table, p_table), (m, n)
                 assert fast == g[m][n], (m, n)
                 assert fast == enumerate_steady(m, n)[0], (m, n)
 
@@ -151,24 +145,24 @@ class TestDValue:
             for m in range(2 * n + 1, 3 * n + 1):
                 assert d_value(m, n, g_table) == d_value_by_crank(m, n, c_table, crank60) == 0
 
-    def test_identity_against_difference(self, g_table, c_table, p_table, crank60, cache):
+    def test_identity_against_difference(self, g_table, c_table, p_table, crank60):
         # the G path against both oracles on every cell with n <= 40, m <= 3n
         for n in range(41):
             for m in range(3 * n + 1):
                 assert (
                     d_value(m, n, g_table)
                     == d_value_by_crank(m, n, c_table, crank60)
-                    == d_value_by_difference(m, n, c_table, p_table, cache)
+                    == d_value_by_difference(m, n, c_table, p_table)
                 ), (m, n)
 
-    def test_telescoping(self, g_table, c_table, p_table, crank60, cache):
+    def test_telescoping(self, g_table, c_table, p_table, crank60):
         for n in range(61):
             running = running_crank = 0
             for m in range(2 * n + 1):
                 running += d_value(m, n, g_table)
                 running_crank += d_value_by_crank(m, n, c_table, crank60)
                 assert running == pi_value(m, n, g_table), (m, n)
-                assert running_crank == pi_value_by_alpha(m, n, c_table, p_table, cache), (m, n)
+                assert running_crank == pi_value_by_alpha(m, n, c_table, p_table), (m, n)
 
     def test_three_regimes_match_unified_formula(self, c_table, crank60):
         # the piecewise forms for 0<=m<=n, n<=m<=2n and m>2n all reduce to
@@ -181,7 +175,7 @@ class TestDValue:
             else:
                 L = 2 * n - m
             return sum(
-                c_table.coeff(L - k) * crank60.value(n - L, n - L + k) for k in range(L + 1)
+                c_table.coeff(L - k) * crank60[n - L][n - L + k] for k in range(L + 1)
             )
 
         for n in range(31):
@@ -228,5 +222,5 @@ class TestGPathAgainstOracles:
         assert pi_value(M, N, g_table) == enumerate_steady(M, N)[0]
 
     def test_d_at_2500(self, p3000, c3000, g3000):
-        column = build_crank_columns([0], 2500, p3000)
+        column = {0: crank_column(0, 2500, p3000)}
         assert d_value(2500, 2500, g3000) == d_value_by_crank(2500, 2500, c3000, column)

@@ -1,5 +1,6 @@
 import json
 import signal
+import threading
 import time
 
 import pytest
@@ -117,6 +118,27 @@ class TestGuard:
         assert res.stdout == ""
         assert elapsed < 1.5
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    @staticmethod
+    def invoke_in_thread(runner, args):
+        results = []
+        worker = threading.Thread(target=lambda: results.append(runner.invoke(cli, args, obj={})))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return results[0]
+
+    def test_runs_off_the_main_thread(self, runner):
+        # only the main thread can arm the timer; other threads run without it
+        res = self.invoke_in_thread(runner, ["compute", "--m", "3", "--n", "3"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("pi(3,3) = ")
+
+    def test_zero_budget_aborts_off_the_main_thread(self, runner, monkeypatch):
+        monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0")
+        res = self.invoke_in_thread(runner, ["compute", "--m", "3", "--n", "3"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("aborted: time budget")
 
 
 class TestVerify:
