@@ -12,13 +12,13 @@ from .asymptotics import (
     f_saddle,
 )
 from .bipartite import (
-    SteadyPair,
     alpha,
     d_value,
     d_value_by_crank,
     d_value_by_difference,
     enumerate_steady,
     gf_table,
+    is_steady,
     pi_value,
     pi_value_by_alpha,
 )
@@ -33,17 +33,16 @@ from .crank import (
 )
 from .formatting import ratio_string, sci_from_int, sci_from_log
 from .partitions import (
-    CoefficientTable,
     build_c_table,
     build_g_table,
     build_p_table,
     c_values_via_convolution,
     c_values_via_inversion,
-    divide_by_euler,
     p_values_via_inversion,
 )
 from .series import (
-    BigSeries,
+    CoefficientTable,
+    divide_by_euler,
     euler_product,
     invert,
     mul,

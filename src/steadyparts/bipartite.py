@@ -22,11 +22,10 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .partitions import CoefficientTable
+from .series import CoefficientTable
 
 
 def pi_value(m: int, n: int, G: CoefficientTable) -> int:
@@ -154,22 +153,12 @@ def d_value_by_difference(m: int, n: int, c_table: CoefficientTable, p_table: Co
     return hi - lo
 
 
-@dataclass(frozen=True)
-class SteadyPair:
-    """A sequence of part-pairs (a_i, b_i) with steadily decreasing parts."""
-
-    parts: Tuple[Tuple[int, int], ...]
-
-    def is_valid(self) -> bool:
-        if self.parts and self.parts[-1] == (0, 0):
-            return False
-        for (a1, b1), (a2, b2) in zip(self.parts, self.parts[1:]):
-            if min(a1, b1) < max(a2, b2):
-                return False
-        return all(a >= 0 and b >= 0 and (a, b) != (0, 0) for a, b in self.parts)
-
-    def weight(self) -> Tuple[int, int]:
-        return (sum(a for a, _ in self.parts), sum(b for _, b in self.parts))
+def is_steady(parts: Sequence[Tuple[int, int]]) -> bool:
+    """True when `parts` is a sequence of part-pairs (a_i, b_i) != (0, 0)
+    with nonnegative components and min(a_i, b_i) >= max(a_{i+1}, b_{i+1})."""
+    if any(a < 0 or b < 0 or (a, b) == (0, 0) for a, b in parts):
+        return False
+    return all(min(a1, b1) >= max(a2, b2) for (a1, b1), (a2, b2) in zip(parts, parts[1:]))
 
 
 class EnumerationCapExceeded(ValueError):
@@ -181,9 +170,9 @@ def enumerate_steady(
     n: int,
     cap: int = 40,
     collect: bool = False,
-) -> Tuple[int, Optional[List[SteadyPair]]]:
-    """Count (and optionally list) steadily decreasing pair sequences of
-    total weight (m, n).
+) -> Tuple[int, Optional[List[tuple]]]:
+    """Count (and optionally list, as tuples of (a, b) pairs) steadily
+    decreasing pair sequences of total weight (m, n).
 
     At each level we choose a pair (a, b) != (0, 0) with max(a, b) bounded
     by the min of the previous pair; individual components may be zero.
@@ -197,11 +186,11 @@ def enumerate_steady(
         )
 
     if collect:
-        found: List[SteadyPair] = []
+        found: List[tuple] = []
 
         def walk(rm: int, rn: int, bound: int, prefix: list):
             if rm == 0 and rn == 0:
-                found.append(SteadyPair(tuple(prefix)))
+                found.append(tuple(prefix))
             for a in range(min(bound, rm) + 1):
                 for b in range(min(bound, rn) + 1):
                     if a == 0 and b == 0:
@@ -237,7 +226,11 @@ class ProductCapExceeded(ValueError):
     pass
 
 
-def gf_table(M: int, N: int, cap: int = 60) -> tuple:
+# largest box bound gf_table expands
+PRODUCT_CAP = 60
+
+
+def gf_table(M: int, N: int) -> tuple:
     """Expand the Carlitz product over the (M+1) x (N+1) box; pi(m, n) is
     g[m][n] of the returned tuple of row tuples.
 
@@ -248,8 +241,8 @@ def gf_table(M: int, N: int, cap: int = 60) -> tuple:
     """
     if M < 0 or N < 0:
         raise ValueError("box bounds must be nonnegative")
-    if max(M, N) > cap:
-        raise ProductCapExceeded(f"box bound {max(M, N)} exceeds the product cap {cap}")
+    if max(M, N) > PRODUCT_CAP:
+        raise ProductCapExceeded(f"box bound {max(M, N)} exceeds the product cap {PRODUCT_CAP}")
     g = [[0] * (N + 1) for _ in range(M + 1)]
     g[0][0] = 1
     factors = [(j + 1, j) for j in range(M)] + [(j, j + 1) for j in range(N)]

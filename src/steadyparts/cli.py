@@ -28,6 +28,7 @@ import click
 
 from .asymptotics import asym_D, asym_pi
 from .bipartite import (
+    PRODUCT_CAP,
     d_value,
     d_value_by_crank,
     d_value_by_difference,
@@ -38,12 +39,8 @@ from .bipartite import (
 )
 from .crank import build_crank_table, crank_value_direct
 from .formatting import ratio_string, sci_from_int, sci_from_log
-from .partitions import (
-    CoefficientTable,
-    build_g_table,
-    build_p_table,
-    c_values_via_inversion,
-)
+from .partitions import build_g_table, build_p_table, c_values_via_inversion
+from .series import CoefficientTable
 
 DEFAULT_TIME_LIMIT_S = 30 * 60
 DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
@@ -211,7 +208,7 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
     expansion and brute-force enumeration.
     """
     p = build_p_table(max(marginal_n, telescope_n, 2 * box))
-    c = CoefficientTable(c_values_via_inversion(max(telescope_n, box)))
+    c = c_values_via_inversion(max(telescope_n, box))
     G = build_g_table(max(telescope_n, box))
     if fault:
         # negative control: corrupt one G value and watch the checks fail
@@ -278,7 +275,7 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
 
 @cli.command()
 @click.option("--deep", is_flag=True, help="Also compare both crank expansions and brute-force crank counts.")
-@click.option("--box", default=10, show_default=True, type=click.IntRange(min=1))
+@click.option("--box", default=10, show_default=True, type=click.IntRange(min=1, max=PRODUCT_CAP))
 @click.option("--inject-fault", is_flag=True, hidden=True)
 @click.pass_context
 def verify(ctx, deep, box, inject_fault):
@@ -305,7 +302,7 @@ def crank_row(ctx, n, fmt):
     """Crank counts M(m, n) for m = -n .. n at a single n."""
     ctx.obj["guard"].require_cells(n + 1)
     p = build_p_table(n)
-    values = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)] or [(0, 1)]
+    values = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
     if fmt == "csv":
         click.echo("m,M")
         for m, v in values:
@@ -329,9 +326,5 @@ def asym(m, n):
         click.echo(f"asym_D({m},{n})  = n/a (requires 1 <= m <= 2n with min(m, 2n-m) >= 1)")
 
 
-def main():
-    cli(obj={})
-
-
 if __name__ == "__main__":
-    main()
+    cli()

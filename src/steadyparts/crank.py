@@ -27,8 +27,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Dict, Iterator, Sequence
 
-from .partitions import CoefficientTable
-from .series import BigSeries, euler_product, invert, mul
+from .series import CoefficientTable, euler_product, invert, mul
 
 
 def build_crank_table(N: int) -> tuple:
@@ -92,7 +91,7 @@ def build_crank_table_lambert(N: int) -> tuple:
         grid[m][:] = map(sub, grid[m], grid[m - 1])
     grid[0][0] += 1
     p_series = invert(euler_product(1, N))
-    return tuple(mul(BigSeries(row), p_series).coeffs for row in grid)
+    return tuple(mul(CoefficientTable(row), p_series).coeffs for row in grid)
 
 
 def crank_column(m: int, N: int, p_table: CoefficientTable) -> tuple:

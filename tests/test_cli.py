@@ -155,6 +155,13 @@ class TestVerify:
         # the G route against the box expansion read transposed
         assert "FAIL  pi symmetry (box 5x5)" in res.output
 
+    def test_box_beyond_product_cap_is_a_usage_error(self, runner):
+        res = invoke(runner, ["verify", "--box", "61"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "Usage:" in res.stderr
+        assert "Invalid value for '--box': 61 is not in the range 1<=x<=60." in res.stderr
+
 
 class TestCrankRow:
     def test_row_four(self, runner):

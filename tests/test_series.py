@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steadyparts.series import BigSeries, euler_product, invert, mul
+from steadyparts.series import CoefficientTable, euler_product, invert, mul
 
 
 def expand_finite_product(factors, order):
@@ -37,47 +37,51 @@ def count_partitions(n):
     return rec(n, n)
 
 
+def one(order):
+    return CoefficientTable([1] + [0] * order)
+
+
 class TestMul:
     def test_binomial_square(self):
-        a = BigSeries([1, 1, 0])
+        a = CoefficientTable([1, 1, 0])
         assert mul(a, a).coeffs == (1, 2, 1)
 
     def test_identity(self):
-        a = BigSeries([3, -1, 4, 1, -5])
-        assert mul(a, BigSeries.one(4)) == a
+        a = CoefficientTable([3, -1, 4, 1, -5])
+        assert mul(a, one(4)).coeffs == a.coeffs
 
     def test_min_order_truncation(self):
-        a = BigSeries([1, 1, 1, 1, 1])
-        b = BigSeries([1, 1])
-        assert mul(a, b).order == 1
+        a = CoefficientTable([1, 1, 1, 1, 1])
+        b = CoefficientTable([1, 1])
+        assert mul(a, b).max_index == 1
 
     def test_p_series_times_pentagonal_is_one(self):
         pent = euler_product(1, 50)
         p_series = invert(pent)
-        assert mul(p_series, pent) == BigSeries.one(50)
+        assert mul(p_series, pent).coeffs == one(50).coeffs
 
 
 class TestInvert:
     def test_geometric(self):
-        assert invert(BigSeries([1, -1, 0, 0])).coeffs == (1, 1, 1, 1)
+        assert invert(CoefficientTable([1, -1, 0, 0])).coeffs == (1, 1, 1, 1)
 
     def test_involution(self):
-        a = BigSeries([1, 5, -2, 7, 0, 3])
-        assert invert(invert(a)) == a
+        a = CoefficientTable([1, 5, -2, 7, 0, 3])
+        assert invert(invert(a)).coeffs == a.coeffs
 
     def test_negative_unit_constant(self):
-        a = BigSeries([-1, 2, 3])
-        assert mul(a, invert(a)) == BigSeries.one(2)
+        a = CoefficientTable([-1, 2, 3])
+        assert mul(a, invert(a)).coeffs == one(2).coeffs
 
     def test_rejects_nonunit_constant(self):
         with pytest.raises(ValueError):
-            invert(BigSeries([2, 1]))
+            invert(CoefficientTable([2, 1]))
 
     def test_partition_coefficients(self):
         p_series = invert(euler_product(1, 30))
-        assert p_series[5] == count_partitions(5) == 7
+        assert p_series.coeff(5) == count_partitions(5) == 7
         for n in range(11):
-            assert p_series[n] == count_partitions(n)
+            assert p_series.coeff(n) == count_partitions(n)
 
 
 class TestEulerProduct:
@@ -103,31 +107,31 @@ class TestEulerProduct:
         s = euler_product(1, 200)
         pents = generalized_pentagonal_numbers(200)
         for n in range(1, 201):
-            assert abs(s[n]) <= 1
-            assert (s[n] != 0) == (n in pents)
+            assert abs(s.coeff(n)) <= 1
+            assert (s.coeff(n) != 0) == (n in pents)
 
 
-small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=6, max_size=6).map(BigSeries)
+small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=6, max_size=6).map(CoefficientTable)
 
 
 class TestAlgebraicProperties:
     @given(small_series, small_series)
     @settings(max_examples=60, deadline=None)
     def test_mul_commutative(self, a, b):
-        assert mul(a, b) == mul(b, a)
+        assert mul(a, b).coeffs == mul(b, a).coeffs
 
     @given(small_series, small_series, small_series)
     @settings(max_examples=60, deadline=None)
     def test_mul_associative(self, a, b, c):
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(mul(a, b), c).coeffs == mul(a, mul(b, c)).coeffs
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=5, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_invert_is_right_inverse(self, tail):
-        a = BigSeries([1] + tail)
-        assert mul(a, invert(a)) == BigSeries.one(a.order)
+        a = CoefficientTable([1] + tail)
+        assert mul(a, invert(a)).coeffs == one(a.max_index).coeffs
 
     @pytest.mark.parametrize("order", [1, 17, 100, 200])
     def test_invert_at_large_orders(self, order):
         a = euler_product(1, order)
-        assert mul(a, invert(a)) == BigSeries.one(order)
+        assert mul(a, invert(a)).coeffs == one(order).coeffs
