@@ -38,11 +38,13 @@ from .partitions import (
     build_p_table,
     c_values_via_convolution,
     c_values_via_inversion,
+    g_values_via_chain,
     p_values_via_inversion,
 )
 from .series import (
     CoefficientTable,
     divide_by_euler,
+    divide_by_phi,
     euler_product,
     invert,
     mul,

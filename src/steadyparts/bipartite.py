@@ -23,7 +23,7 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
 from __future__ import annotations
 
 from functools import cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .series import CoefficientTable
 
@@ -202,24 +202,22 @@ def enumerate_steady(
         walk(m, n, max(m, n), [])
         return len(found), found
 
-    memo: Dict[Tuple[int, int, int], int] = {}
+    return _count_steady(m, n, max(m, n)), None
 
-    def count(rm: int, rn: int, bound: int) -> int:
-        bound = min(bound, max(rm, rn))
-        key = (rm, rn, bound)
-        v = memo.get(key)
-        if v is not None:
-            return v
-        total = 1 if rm == 0 and rn == 0 else 0
-        for a in range(min(bound, rm) + 1):
-            for b in range(min(bound, rn) + 1):
-                if a == 0 and b == 0:
-                    continue
-                total += count(rm - a, rn - b, min(a, b))
-        memo[key] = total
-        return total
 
-    return count(m, n, max(m, n)), None
+@cache
+def _count_steady(rm: int, rn: int, bound: int) -> int:
+    """Steadily decreasing pair sequences of total weight (rm, rn) whose
+    pairs have max(a, b) <= bound.  Callers pass bound <= max(rm, rn), so
+    equal counts share one key; the memo is shared by every call, and a
+    whole ``verify`` box reuses it."""
+    total = 1 if rm == 0 and rn == 0 else 0
+    for a in range(min(bound, rm) + 1):
+        for b in range(min(bound, rn) + 1):
+            if a == 0 and b == 0:
+                continue
+            total += _count_steady(rm - a, rn - b, min(a, b, max(rm - a, rn - b)))
+    return total
 
 
 class ProductCapExceeded(ValueError):

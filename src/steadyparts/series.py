@@ -1,12 +1,16 @@
 """Truncated power series in q over Python's arbitrary-precision integers.
 
 ``CoefficientTable`` is a series truncated (inclusively) at a fixed order;
-every table in the package is one.  Euler's pentagonal number theorem gives
-(q^s;q^s)_inf a sparse support, enumerated once by ``_pentagonal_offsets``;
-it feeds two routes:
+every table in the package is one.  Two classical series have a sparse
+support: Euler's pentagonal number theorem puts the terms of (q^s;q^s)_inf at
+s times the generalized pentagonal numbers (enumerated once, by
+``_pentagonal_offsets``), and Gauss's identity
+phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf = sum_k (-1)^k q^(k^2) puts those of
+phi(-q) at the squares.  They feed two routes:
 
-* ``divide_by_euler`` -- sparse division by (q^s;q^s)_inf, in place; the
-  p, c and G tables in ``partitions`` are a chain of such divisions;
+* ``divide_by_euler`` and ``divide_by_phi`` -- sparse division by
+  (q^s;q^s)_inf and by phi(-q), in place, both through one loop over
+  (offset, weight) pairs; ``partitions`` builds its tables with them;
 * ``euler_product``, ``mul``, ``invert`` -- the pentagonal expansion of
   (q^s;q^s)_inf, the schoolbook product and the triangular inverse: the dense
   oracles the sparse tables are checked against, and the Lambert route in
@@ -18,6 +22,7 @@ Tables are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 
@@ -48,12 +53,13 @@ class CoefficientTable:
 
 
 def _pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:
-    """(step * generalized pentagonal number, sign) pairs up to `limit`,
-    ascending; sign is the recurrence's: +1 for k odd, -1 for k even."""
+    """(offset, coefficient) pairs of (q^step; q^step)_inf up to `limit`,
+    ascending: step times the generalized pentagonal numbers k(3k-1)/2 and
+    k(3k+1)/2, each with coefficient (-1)^k."""
     offsets = []
     k = 1
     while step * k * (3 * k - 1) // 2 <= limit:
-        sign = -1 if k % 2 == 0 else 1
+        sign = 1 if k % 2 == 0 else -1
         offsets.append((step * k * (3 * k - 1) // 2, sign))
         g2 = step * k * (3 * k + 1) // 2
         if g2 <= limit:
@@ -62,30 +68,65 @@ def _pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:
     return offsets
 
 
+def _square_offsets(limit: int) -> list[tuple[int, int]]:
+    """(offset, coefficient) pairs of phi(-q) = sum_{k in Z} (-1)^k q^(k^2)
+    up to `limit`, ascending: k^2 with coefficient 2 (-1)^k for k >= 1."""
+    return [(k * k, 2 if k % 2 == 0 else -2) for k in range(1, math.isqrt(limit) + 1)]
+
+
+def _divide_sparse(coeffs: list, terms: list[tuple[int, int]]) -> list:
+    """Divide the series `coeffs` in place by 1 + sum w q^g over the
+    (g, w) pairs of `terms` (ascending, g >= 1), truncated to len(coeffs)
+    terms, and return the list.
+
+    The quotient obeys a(n) -= sum w a(n - g), so a divisor with O(sqrt(N))
+    terms costs O(N^1.5) big-integer additions.  Between two consecutive
+    offsets the set of offsets that reach back into the list is fixed, so
+    each stretch runs one plain loop per weight class; each class is summed
+    once per n and scaled once, and weights +-1 are not multiplied at all.
+    """
+    ends = [g for g, _ in terms] + [len(coeffs)]
+    start = 0
+    for active, end in enumerate(ends):
+        classes: dict[int, list[int]] = {}
+        for g, w in terms[:active]:
+            classes.setdefault(w, []).append(g)
+        by_weight = list(classes.items())
+        for n in range(start, end):
+            s = coeffs[n]
+            for w, offsets in by_weight:
+                t = 0
+                for g in offsets:
+                    t += coeffs[n - g]
+                if w == 1:
+                    s -= t
+                elif w == -1:
+                    s += t
+                else:
+                    s -= w * t
+            coeffs[n] = s
+        start = end
+    return coeffs
+
+
 def divide_by_euler(coeffs: list, step: int = 1) -> list:
     """Divide the series `coeffs` by (q^step; q^step)_inf in place, truncated
     to len(coeffs) terms, and return the list.
 
     (q^s;q^s)_inf has O(sqrt(N/s)) nonzero terms (Euler's pentagonal number
-    theorem), so the quotient costs O(N^1.5) big-integer additions.  Between
-    two consecutive offsets the set of offsets that reach back into the list
-    is fixed, so each stretch runs one plain pair of loops.
+    theorem), so the quotient costs O(N^1.5) big-integer additions.
     """
-    offsets = _pentagonal_offsets(len(coeffs) - 1, step)
-    ends = [g for g, _ in offsets] + [len(coeffs)]
-    start = 0
-    for active, end in enumerate(ends):
-        plus = [g for g, sign in offsets[:active] if sign > 0]
-        minus = [g for g, sign in offsets[:active] if sign < 0]
-        for n in range(start, end):
-            s = coeffs[n]
-            for g in plus:
-                s += coeffs[n - g]
-            for g in minus:
-                s -= coeffs[n - g]
-            coeffs[n] = s
-        start = end
-    return coeffs
+    return _divide_sparse(coeffs, _pentagonal_offsets(len(coeffs) - 1, step))
+
+
+def divide_by_phi(coeffs: list) -> list:
+    """Divide the series `coeffs` by phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf in
+    place, truncated to len(coeffs) terms, and return the list.
+
+    Gauss's identity puts phi(-q)'s O(sqrt(N)) nonzero terms at the squares,
+    each +-2, so the quotient costs O(N^1.5) big-integer additions.
+    """
+    return _divide_sparse(coeffs, _square_offsets(len(coeffs) - 1))
 
 
 def mul(a: CoefficientTable, b: CoefficientTable) -> CoefficientTable:
@@ -139,5 +180,5 @@ def euler_product(exponent_step: int, order: int) -> CoefficientTable:
         raise ValueError("exponent step must be a positive integer")
     out = [1] + [0] * order
     for g, sign in _pentagonal_offsets(order, exponent_step):
-        out[g] = -sign
+        out[g] = sign
     return CoefficientTable(out)

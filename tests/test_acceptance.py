@@ -50,6 +50,12 @@ def g_big():
     return build_g_table(2600)
 
 
+@pytest.fixture(scope="module")
+def g_stretch():
+    """G to 40000, enough for the Table 1 rows up to L = 200."""
+    return build_g_table(40000)
+
+
 def report(criterion, ok, detail=""):
     line = f"[{'PASS' if ok else 'FAIL'}] {criterion}"
     if detail:
@@ -75,11 +81,12 @@ def test_criterion_1_table1_diagonal(g_big):
     report("1. Table 1 diagonal (L=10,40)", ok, "; ".join(details))
 
 
-def test_criterion_1_stretch_rows():
-    G = build_g_table(10000)
+def test_criterion_1_stretch_rows(g_stretch):
+    G = g_stretch
     expect = {
         70: ("2.99238e116", "0.9919", "5.25671e116", "0.9859"),
         100: ("7.15231e168", "0.9943", "1.25872e169", "0.9901"),
+        200: ("1.23831e344", "0.9971", "2.18391e344", "0.9950"),
     }
     ok = True
     details = []
@@ -94,7 +101,7 @@ def test_criterion_1_stretch_rows():
         )
         details.append(f"L={L}: {got}")
         ok = ok and got == (diag_sci, diag_ratio, off_sci, off_ratio)
-    report("1s. Table 1 stretch rows (L=70,100)", ok, "; ".join(details))
+    report("1s. Table 1 stretch rows (L=70,100,200)", ok, "; ".join(details))
 
 
 def test_criterion_2_table1_off_diagonal(g_big):
@@ -169,7 +176,7 @@ def test_criterion_5_crank_soundness(p_big):
     )
 
 
-def test_criterion_6_asymptotic_convergence(p_big, c_big, g_big):
+def test_criterion_6_asymptotic_convergence(p_big, c_big, g_big, g_stretch):
     m_ratios = {
         k: exact_over_asym(crank_column(k, 420, p_big)[k + 400], asym_M(k, 400)) for k in (0, 10, 20)
     }
@@ -182,8 +189,8 @@ def test_criterion_6_asymptotic_convergence(p_big, c_big, g_big):
     ok_d = abs(d_ratio - 1) < 0.10
 
     devs = []
-    for L in (10, 20, 30, 40):
-        v = pi_value(L * L, L * L, g_big)
+    for L in (10, 20, 30, 40, 70, 100, 200):
+        v = pi_value(L * L, L * L, g_stretch)
         devs.append(abs(exact_over_asym(v, asym_pi(L * L, L * L)) - 1))
     ok_mono = all(a > b for a, b in zip(devs, devs[1:]))
 

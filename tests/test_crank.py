@@ -120,3 +120,15 @@ class TestCombinatorial:
         counts = crank_counts_by_enumeration(1)
         assert counts == {-1: 1}
         assert table100[0][1] == -1  # GF coefficient, not a count
+
+
+class TestEquidistribution:
+    @pytest.mark.parametrize("modulus, residue", [(5, 4), (7, 5), (11, 6)])
+    def test_crank_splits_ramanujan_congruences(self, table100, p200, modulus, residue):
+        # Andrews-Garvan (1988): for n == residue (mod modulus), the crank
+        # classes mod `modulus` each hold p(n) / modulus partitions
+        for n in range(residue, 101, modulus):
+            share, rest = divmod(p200.coeff(n), modulus)
+            assert rest == 0, n
+            for r in range(modulus):
+                assert sum(table100[m][n] for m in range(-n, n + 1) if m % modulus == r) == share, (n, r)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from steadyparts.partitions import (
@@ -6,9 +8,10 @@ from steadyparts.partitions import (
     build_p_table,
     c_values_via_convolution,
     c_values_via_inversion,
+    g_values_via_chain,
     p_values_via_inversion,
 )
-from steadyparts.series import CoefficientTable, divide_by_euler, euler_product, mul
+from steadyparts.series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
 
 
 def count_partitions(n):
@@ -90,6 +93,11 @@ class TestCubicTable:
         assert c2000.values() == c2000_dense
         assert c2000.values() == c2000_convolved
 
+    def test_chan_congruence(self, c2000):
+        # Chan (2010): c(3n + 2) == 0 (mod 3)
+        for n in range(2, 2001, 3):
+            assert c2000.coeff(n) % 3 == 0, n
+
 
 class TestGTable:
     def test_is_c_times_p(self, p2000, c2000):
@@ -100,6 +108,19 @@ class TestGTable:
     def test_small_values(self):
         # 1/((q;q)^2 (q^2;q^2)) = 1 + 2q + 6q^2 + 12q^3 + ...
         assert build_g_table(3).values() == (1, 2, 6, 12)
+
+    def test_gauss_build_matches_chain_at_small_orders(self):
+        for N in range(65):
+            assert build_g_table(N).values() == g_values_via_chain(N).values(), N
+
+    @pytest.mark.parametrize("N", [2001, 10100])
+    def test_gauss_build_matches_chain(self, N):
+        assert build_g_table(N).values() == g_values_via_chain(N).values()
+
+    def test_large_order_is_c_times_p(self):
+        n = 10000
+        c, p = build_c_table(n), build_p_table(n)
+        assert build_g_table(n).coeff(n) == sum(c.coeff(k) * p.coeff(n - k) for k in range(n + 1))
 
 
 class TestDivideByEuler:
@@ -114,3 +135,30 @@ class TestDivideByEuler:
         coeffs = [1, 0, 0, 0]
         assert divide_by_euler(coeffs) is coeffs
         assert coeffs == [1, 1, 2, 3]
+
+
+def phi_minus_q(order):
+    """phi(-q) = sum over k in Z of (-1)^k q^(k^2), truncated at `order`."""
+    out = [0] * (order + 1)
+    r = math.isqrt(order)
+    for k in range(-r, r + 1):
+        out[k * k] += -1 if k % 2 else 1
+    return CoefficientTable(out)
+
+
+class TestDivideByPhi:
+    def test_gauss_identity(self):
+        # phi(-q) = (q;q)^2 / (q^2;q^2)
+        q1 = euler_product(1, 80)
+        assert mul(mul(q1, q1), invert(euler_product(2, 80))).coeffs == phi_minus_q(80).coeffs
+
+    def test_times_phi_is_identity(self):
+        numerator = build_p_table(120).values()
+        quotient = divide_by_phi(list(numerator))
+        assert mul(CoefficientTable(quotient), phi_minus_q(120)).coeffs == numerator
+
+    def test_in_place(self):
+        coeffs = [1, 0, 0, 0, 0]
+        assert divide_by_phi(coeffs) is coeffs
+        # 1/phi(-q) = (q^2;q^2) / (q;q)^2 = 1 + 2q + 4q^2 + 8q^3 + 14q^4 + ...
+        assert coeffs == [1, 2, 4, 8, 14]
