@@ -89,13 +89,11 @@ def alpha(s: int, k: int, p_table: CoefficientTable) -> int:
         raise ValueError("alpha takes nonnegative arguments")
     if p_table.max_index < k:
         raise IndexError("p table too short for alpha")
+    p = p_table.values()
     total = 0
     l = 0
-    while True:
-        arg = k - l * (l + 1) // 2 - l * s
-        if arg < 0:
-            break
-        total += -p_table.coeff(arg) if l % 2 else p_table.coeff(arg)
+    while (arg := k - l * (l + 1) // 2 - l * s) >= 0:
+        total += -p[arg] if l % 2 else p[arg]
         l += 1
     return total
 
@@ -108,11 +106,12 @@ def pi_value_by_alpha(m: int, n: int, c_table: CoefficientTable, p_table: Coeffi
     s = abs(m - n)
     if c_table.max_index < mu or p_table.max_index < mu:
         raise IndexError("tables too short for pi_value_by_alpha")
+    c = c_table.values()
     total = 0
     for k in range(mu + 1):
         a = alpha(s, k, p_table)
         if a:
-            total += c_table.coeff(mu - k) * a
+            total += c[mu - k] * a
     return total
 
 
@@ -137,11 +136,12 @@ def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
     row = M[base]
     if len(row) <= n:
         raise IndexError("crank table too short for d_value_by_crank")
+    c = c_table.values()
     total = 0
     for k in range(L + 1):
         mk = row[base + k]
         if mk:
-            total += c_table.coeff(L - k) * mk
+            total += c[L - k] * mk
     return total
 
 
@@ -202,22 +202,32 @@ def enumerate_steady(
         walk(m, n, max(m, n), [])
         return len(found), found
 
-    return _count_steady(m, n, max(m, n)), None
+    return _steady_counts(m, n)[-1], None
 
 
 @cache
-def _count_steady(rm: int, rn: int, bound: int) -> int:
-    """Steadily decreasing pair sequences of total weight (rm, rn) whose
-    pairs have max(a, b) <= bound.  Callers pass bound <= max(rm, rn), so
-    equal counts share one key; the memo is shared by every call, and a
-    whole ``verify`` box reuses it."""
+def _steady_counts(rm: int, rn: int) -> tuple:
+    """Running counts over the bound: entry B is the number of steadily
+    decreasing pair sequences of total weight (rm, rn) whose pairs have
+    max(a, b) <= B, for B = 0..max(rm, rn).  A larger bound admits no more
+    pairs, so a caller clamps its bound to the last entry.
+
+    Entry B adds to entry B - 1 the shell of first pairs with max(a, b) = B:
+    a = B with b <= B, and b = B with a < B.  One memo serves every call,
+    and a whole ``verify`` box reuses it."""
     total = 1 if rm == 0 and rn == 0 else 0
-    for a in range(min(bound, rm) + 1):
-        for b in range(min(bound, rn) + 1):
-            if a == 0 and b == 0:
-                continue
-            total += _count_steady(rm - a, rn - b, min(a, b, max(rm - a, rn - b)))
-    return total
+    counts = [total]
+    for bound in range(1, max(rm, rn) + 1):
+        if bound <= rm:
+            for b in range(min(bound, rn) + 1):
+                rest = _steady_counts(rm - bound, rn - b)
+                total += rest[min(b, len(rest) - 1)]
+        if bound <= rn:
+            for a in range(min(bound - 1, rm) + 1):
+                rest = _steady_counts(rm - a, rn - bound)
+                total += rest[min(a, len(rest) - 1)]
+        counts.append(total)
+    return tuple(counts)
 
 
 class ProductCapExceeded(ValueError):

@@ -16,16 +16,19 @@ requests cleanly.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import signal
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
+# json and concurrent.futures (which pulls in logging) are imported where
+# --format json and --threads > 1 need them, to keep them out of start-up.
+# Every steadyparts module is imported here, eagerly: bench/tracer.py wraps
+# the layer functions of the package modules loaded with this one, so a
+# lazily imported package module would drop out of the trace.
 from .asymptotics import asym_D, asym_pi
 from .bipartite import (
     PRODUCT_CAP,
@@ -131,6 +134,8 @@ def _table1_rows(l_values, threads, guard):
         }
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(one, cells))
     else:
@@ -157,6 +162,8 @@ def table1(ctx, l_list, fmt):
         for r in rows:
             click.echo(f"{r['L']},{r['pi_sci']},{r['A_sci']},{r['ratio']}")
     elif fmt == "json":
+        import json
+
         click.echo(json.dumps(rows, indent=2))
     else:
         for r in rows:
@@ -308,6 +315,8 @@ def crank_row(ctx, n, fmt):
         for m, v in values:
             click.echo(f"{m},{v}")
     elif fmt == "json":
+        import json
+
         click.echo(json.dumps([{"m": m, "M": str(v)} for m, v in values], indent=2))
     else:
         for m, v in values:

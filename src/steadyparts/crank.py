@@ -9,7 +9,8 @@ then m = -N..-1, so a negative m is Python's negative index.  Three routes
 produce the same numbers and are compared in the tests:
 
 * ``build_crank_table``          -- quotient-of-products expansion (geometric
-                                    factors swept in place over one grid);
+                                    factors swept in place over the grid's
+                                    nonzero triangle |m| <= n);
 * ``build_crank_table_lambert``  -- the (1 - zeta) * Lambert-sum form of the
                                     same generating function;
 * ``crank_column``               -- a closed form in p(n) for one fixed crank
@@ -24,7 +25,8 @@ this down; it is what makes the D(m,n) convolution identity exact.
 
 from __future__ import annotations
 
-from operator import add, sub
+from bisect import bisect_left
+from operator import add, neg, sub
 from typing import Dict, Iterator, Sequence
 
 from .series import CoefficientTable, euler_product, invert, mul
@@ -35,9 +37,12 @@ def build_crank_table(N: int) -> tuple:
 
     Seeds the grid, zeta^m q^n at grid[m][n], with the finite product
     (q;q)_N and multiplies it in place by the geometric factors
-    1/(1 - zeta q^j) and 1/(1 - zeta^{-1} q^j) for j = 1..N.  The zeta-span
-    clamp to [-N, N] is lossless: every partial product here has
-    |zeta-degree| bounded by the q-degree.
+    1/(1 - zeta q^j) and 1/(1 - zeta^{-1} q^j) for j = 1..N.  Every partial
+    product has |zeta-degree| <= q-degree, so the grid is zero outside the
+    triangle |m| <= n.  That makes the zeta-span clamp to [-N, N] lossless,
+    and it bounds each sweep: for factor j only a source row s with
+    |s| <= N - j reaches a q-order within N, and only from its entry
+    n = |s| on, which lands at n = j + |s|.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -46,12 +51,15 @@ def build_crank_table(N: int) -> tuple:
     for j in range(1, N + 1):
         # new[m][n] = old[m][n] + new[m -+ 1][n - j]; sweeping the rows
         # away from the source row finishes each source before it is read
-        for m in range(1 - N, N + 1):
+        r = N - j
+        for m in range(1 - r, r + 2):
+            k = abs(m - 1)
             row = grid[m]
-            row[j:] = map(add, row[j:], grid[m - 1])
-        for m in range(N - 1, -N - 1, -1):
+            row[j + k:] = map(add, row[j + k:], grid[m - 1][k:r + 1])
+        for m in range(r - 1, -r - 2, -1):
+            k = abs(m + 1)
             row = grid[m]
-            row[j:] = map(add, row[j:], grid[m + 1])
+            row[j + k:] = map(add, row[j + k:], grid[m + 1][k:r + 1])
     return tuple(map(tuple, grid))
 
 
@@ -133,40 +141,54 @@ def partitions_of(n: int) -> Iterator[tuple]:
     """All partitions of n as non-increasing tuples of positive parts, in
     decreasing lexicographic order.
 
-    Each step takes the next partition in that order: drop the trailing ones,
-    lower the last part k > 1 by one and refill the freed amount with parts
-    of at most k - 1.
+    Algorithm ZS1 of Zoghbi and Stojmenovic (Int. J. Comput. Math. 70,
+    1998): the parts live in one list pre-filled with ones, and h marks the
+    last part above 1.  Each step lowers that part by one and refills the
+    freed amount (the trailing ones plus one) with copies of the lowered
+    part and a remainder; a part of 2 just becomes a 1.
     """
     if n == 0:
         yield ()
         return
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        freed = 1
-        while parts[-1] == 1:
-            parts.pop()
-            freed += 1
-            if not parts:
-                return
-        k = parts[-1] - 1
-        parts[-1] = k
-        q, r = divmod(freed, k)
-        parts += [k] * q
-        if r:
-            parts.append(r)
+    parts = [1] * n
+    parts[0] = n
+    size, h = 1, 0
+    yield (n,)
+    while parts[0] != 1:
+        k = parts[h]
+        if k == 2:
+            parts[h] = 1
+            h -= 1
+            size += 1
+        else:
+            k -= 1
+            parts[h] = k
+            freed = size - h
+            while freed >= k:
+                h += 1
+                parts[h] = k
+                freed -= k
+            size = h + 1
+            if freed:
+                size += 1
+                if freed > 1:
+                    h += 1
+                    parts[h] = freed
+        yield tuple(parts[:size])
 
 
 def crank_of(partition: Sequence[int]) -> int:
     """Crank statistic: largest part if there are no ones, else mu - omega
-    with omega = number of ones and mu = number of parts exceeding omega."""
+    with omega = number of ones and mu = number of parts exceeding omega.
+
+    `partition` is non-increasing, so the parts exceeding omega are a prefix
+    and mu is found by bisection."""
     if not partition:
         return 0
     ones = partition.count(1)
     if ones == 0:
         return partition[0]
-    mu = sum(1 for part in partition if part > ones)
-    return mu - ones
+    return bisect_left(partition, -ones, key=neg) - ones
 
 
 def crank_counts_by_enumeration(n: int) -> Dict[int, int]:

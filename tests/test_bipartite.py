@@ -77,6 +77,11 @@ class TestEnumerate:
                     assert sum(a for a, _ in parts) == m
                     assert sum(b for _, b in parts) == n
 
+    def test_counts_match_listing(self):
+        for m in range(15):
+            for n in range(15 - m):
+                assert enumerate_steady(m, n)[0] == enumerate_steady(m, n, collect=True)[0], (m, n)
+
     def test_cap(self):
         with pytest.raises(EnumerationCapExceeded):
             enumerate_steady(30, 30, cap=40)

@@ -47,7 +47,8 @@ class TestBuild:
         assert len(lam) == len(table100) == 201
         assert lam == table100
 
-    @pytest.mark.parametrize("N", [0, 1, 40])
+    # the small orders reach the edge rows of the swept triangle
+    @pytest.mark.parametrize("N", [*range(13), 40])
     def test_both_expansion_paths_agree_at_small_orders(self, N):
         table = build_crank_table(N)
         assert len(table) == 2 * N + 1
@@ -96,11 +97,11 @@ class TestCombinatorial:
         assert crank_of((1, 1, 1)) == -3  # omega = 3, mu = 0
 
     def test_partition_generator_counts(self, p200):
-        for n in range(12):
+        for n in range(31):
             assert sum(1 for _ in partitions_of(n)) == p200.coeff(n)
 
     def test_partition_generator_order(self, p200):
-        for n in range(16):
+        for n in range(21):
             parts = list(partitions_of(n))
             assert len(parts) == p200.coeff(n)
             for part in parts:
@@ -108,6 +109,16 @@ class TestCombinatorial:
                 assert all(a >= b >= 1 for a, b in zip(part, part[1:] + (1,)))
             # strictly decreasing lexicographic order
             assert all(a > b for a, b in zip(parts, parts[1:]))
+
+    def test_crank_matches_definition(self):
+        for n in range(21):
+            for partition in partitions_of(n):
+                ones = partition.count(1)
+                if ones:
+                    want = sum(1 for part in partition if part > ones) - ones
+                else:
+                    want = partition[0] if partition else 0
+                assert crank_of(partition) == want, partition
 
     def test_enumeration_matches_table(self, table100):
         # generating-function convention: rows agree for n >= 2 but not n = 1
