@@ -34,7 +34,6 @@ from .bipartite import (
     PRODUCT_CAP,
     d_value,
     d_value_by_crank,
-    d_value_by_difference,
     enumerate_steady,
     gf_table,
     pi_value,
@@ -238,22 +237,27 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
     total = (box + 1) ** 2
     yield ("three-way pi agreement", bad == 0, f"{total - bad}/{total} cells")
 
-    crank = build_crank_table(telescope_n)
+    # one product table; the order-t table is its rows |m| <= t cut at n <= t
+    crank_big = build_crank_table(max(marginal_n, telescope_n))
+    t = telescope_n
+    crank = tuple(row[:t + 1] for row in crank_big[:t + 1] + crank_big[len(crank_big) - t:])
     bad = 0
     checked = 0
     for n in range(telescope_n + 1):
         running = 0
+        below = 0  # pi(m - 1, n) by the c/alpha convolution; pi(-1, n) = 0
         for m in range(2 * n + 1):
             dv = d_value(m, n, G)
             running += dv
             checked += 1
-            if not dv == d_value_by_crank(m, n, c, crank) == d_value_by_difference(m, n, c, p):
+            here = pi_value_by_alpha(m, n, c, p)
+            if not dv == d_value_by_crank(m, n, c, crank) == here - below:
                 bad += 1
+            below = here
             if running != pi_value(m, n, G):
                 bad += 1
     yield ("telescoping D identity", bad == 0, f"{checked} cells, n <= {telescope_n}")
 
-    crank_big = build_crank_table(marginal_n) if marginal_n > telescope_n else crank
     bad = sum(
         1
         for n in range(marginal_n + 1)

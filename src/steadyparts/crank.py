@@ -8,9 +8,11 @@ expanded to q-order N, as 2N+1 row tuples indexed M[m][n]: rows m = 0..N,
 then m = -N..-1, so a negative m is Python's negative index.  Three routes
 produce the same numbers and are compared in the tests:
 
-* ``build_crank_table``          -- quotient-of-products expansion (geometric
-                                    factors swept in place over the grid's
-                                    nonzero triangle |m| <= n);
+* ``build_crank_table``          -- quotient-of-products expansion, with
+                                    each q-order packed into one int of
+                                    W-bit zeta fields, so the geometric
+                                    factors are swept by shifts and adds;
+                                    W holds p(N) and a sign bit;
 * ``build_crank_table_lambert``  -- the (1 - zeta) * Lambert-sum form of the
                                     same generating function;
 * ``crank_column``               -- a closed form in p(n) for one fixed crank
@@ -26,41 +28,56 @@ this down; it is what makes the D(m,n) convolution identity exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import add, neg, sub
+from operator import neg, sub
 from typing import Dict, Iterator, Sequence
 
-from .series import CoefficientTable, euler_product, invert, mul
+from .series import CoefficientTable, divide_by_euler, euler_product, invert, mul
 
 
 def build_crank_table(N: int) -> tuple:
     """Full table to order N from the quotient-of-products form.
 
-    Seeds the grid, zeta^m q^n at grid[m][n], with the finite product
-    (q;q)_N and multiplies it in place by the geometric factors
-    1/(1 - zeta q^j) and 1/(1 - zeta^{-1} q^j) for j = 1..N.  Every partial
-    product has |zeta-degree| <= q-degree, so the grid is zero outside the
-    triangle |m| <= n.  That makes the zeta-span clamp to [-N, N] lossless,
-    and it bounds each sweep: for factor j only a source row s with
-    |s| <= N - j reaches a q-order within N, and only from its entry
-    n = |s| on, which lands at n = j + |s|.
+    Each q-order n is one Python int, the column
+    C_n = sum_m M(m, n) Y^(m + N) with Y = 2^W: field m + N holds the
+    coefficient of zeta^m, so multiplying by zeta is ``<< W`` and by
+    zeta^{-1} is ``>> W``.  The columns start as (q;q)_N in field N and are
+    multiplied by the geometric factors 1/(1 - zeta q^j) and
+    1/(1 - zeta^{-1} q^j) for j = 1..N, one ascending pass each:
+    C_n += C_{n-j} << W, then C_n += C_{n-j} >> W.  Every partial product
+    has |zeta-degree| <= q-degree, so a source column n - j < N has empty
+    fields at m = -N and m = N: the right shift is exact, and the left
+    shift stays inside the 2N + 1 fields.  No field is masked or truncated
+    on the way; the ints are exact whatever carries pass between fields,
+    and only the final decode needs every field to fit in W bits.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    grid = [[0] * (N + 1) for _ in range(2 * N + 1)]
-    grid[0] = list(euler_product(1, N).coeffs)
+    # |M(m, n)| <= p(n) <= p(N): for n >= 2 M counts the partitions of n
+    # with crank m, and for n <= 1 |M| <= 1 = p(n).  One bit more holds the
+    # sign, so every final field lies in [-2^(W-1), 2^(W-1)).
+    W = divide_by_euler([1] + [0] * N)[-1].bit_length() + 1
+    C = [e << (N * W) for e in euler_product(1, N).coeffs]
     for j in range(1, N + 1):
-        # new[m][n] = old[m][n] + new[m -+ 1][n - j]; sweeping the rows
-        # away from the source row finishes each source before it is read
-        r = N - j
-        for m in range(1 - r, r + 2):
-            k = abs(m - 1)
-            row = grid[m]
-            row[j + k:] = map(add, row[j + k:], grid[m - 1][k:r + 1])
-        for m in range(r - 1, -r - 2, -1):
-            k = abs(m + 1)
-            row = grid[m]
-            row[j + k:] = map(add, row[j + k:], grid[m + 1][k:r + 1])
-    return tuple(map(tuple, grid))
+        for n in range(j, N + 1):
+            C[n] += C[n - j] << W
+        for n in range(j, N + 1):
+            C[n] += C[n - j] >> W
+    # decode: a bias of 2^(W-1) in every field makes each field a plain
+    # W-bit digit; column n reads only its fields |m| <= n
+    half = 1 << (W - 1)
+    mask = (1 << W) - 1
+    bias = half * (((1 << (W * (2 * N + 1))) - 1) // mask)
+    columns = []
+    for n, x in enumerate(C):
+        x = (x + bias) >> (W * (N - n))
+        fields = []
+        for _ in range(2 * n + 1):
+            fields.append((x & mask) - half)
+            x >>= W
+        pad = [0] * (N - n)
+        columns.append(pad + fields + pad)
+    rows = list(zip(*columns))  # rows m = -N..N
+    return tuple(rows[N:] + rows[:N])
 
 
 def build_crank_table_lambert(N: int) -> tuple:

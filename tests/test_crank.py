@@ -54,6 +54,15 @@ class TestBuild:
         assert len(table) == 2 * N + 1
         assert build_crank_table_lambert(N) == table
 
+    def test_order_200_rows_match_closed_form(self, p200):
+        # a large-order oracle that shares no code with the packed sweep;
+        # row +-200 holds only the one partition with crank +-200
+        table = build_crank_table(200)
+        for m in (0, 1, -1, 2, -2, 7, -7, 50, -50, 200, -200):
+            assert table[m] == crank_column(m, 200, p200), m
+        for n in range(201):
+            assert sum(table[m][n] for m in range(-n, n + 1)) == p200.coeff(n), n
+
     def test_column_formula_agrees(self, table100, p200):
         for m in range(-100, 101):
             assert crank_column(m, 100, p200) == table100[m]
