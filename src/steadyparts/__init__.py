@@ -12,7 +12,7 @@ from .asymptotics import (
     f_saddle,
 )
 from .bipartite import (
-    alpha,
+    alpha_row,
     d_value,
     d_value_by_crank,
     d_value_by_difference,
@@ -21,6 +21,7 @@ from .bipartite import (
     is_steady,
     pi_value,
     pi_value_by_alpha,
+    steady_partitions,
 )
 from .crank import (
     build_crank_table,

@@ -11,19 +11,26 @@ sum of O(sqrt(mu)) coefficients of G = c * p, the series
 
 Independent routes are kept as oracles, for the tests and ``verify`` only:
 
-* ``pi_value_by_alpha``     -- the c/alpha convolution, ``alpha`` memoised;
-* ``d_value_by_crank``      -- D through the crank convolution c * M;
+* ``pi_value_by_alpha``     -- the c/alpha convolution, one sum against the
+                               row ``alpha_row(s, mu, p)``;
+* ``d_value_by_crank``      -- D through the crank convolution c * M, one sum
+                               against a slice of one crank row;
 * ``d_value_by_difference`` -- D as a difference of two c/alpha values;
 * ``gf_table``              -- direct box expansion of the Carlitz generating
                                function 1/((x;xy)(x^2y^2;x^2y^2)(y;xy));
-* ``enumerate_steady``      -- brute-force enumeration of part-pair sequences
-                               satisfying min(a_i, b_i) >= max(a_{i+1}, b_{i+1}).
+* ``enumerate_steady``      -- the number of part-pair sequences satisfying
+                               min(a_i, b_i) >= max(a_{i+1}, b_{i+1}), by a
+                               memoised recursion over the first pair;
+                               ``steady_partitions`` lists them.
+
+No oracle keeps a table alive between calls.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import List, Optional, Sequence, Tuple
+from operator import add, mul, sub
+from typing import List, Sequence, Tuple
 
 from .series import CoefficientTable
 
@@ -77,25 +84,26 @@ def d_value(m: int, n: int, G: CoefficientTable) -> int:
     return total
 
 
-@cache
-def alpha(s: int, k: int, p_table: CoefficientTable) -> int:
-    """alpha(s, k) = sum over l >= 0 of (-1)^l p(k - l(l+1)/2 - l s).
+def alpha_row(s: int, K: int, p_table: CoefficientTable) -> tuple:
+    """The row alpha(s, 0..K), where
 
-    The sum is finite: terms vanish once l(l+1)/2 + l s exceeds k, so the
-    loop runs for O(sqrt(k)) iterations.  Memoised per (s, k, p_table): one
-    s-slice is reused across a whole diagonal.
+        alpha(s, k) = sum over l >= 0 of (-1)^l p(k - l(l+1)/2 - l s).
+
+    Term l of every entry at once is p shifted right by l(l+1)/2 + l s, so
+    the row starts as p(0..K) and each shift that stays below K adds or
+    subtracts one slice of p: O(sqrt(K)) slices in all.
     """
-    if s < 0 or k < 0:
+    if s < 0 or K < 0:
         raise ValueError("alpha takes nonnegative arguments")
-    if p_table.max_index < k:
+    if p_table.max_index < K:
         raise IndexError("p table too short for alpha")
     p = p_table.values()
-    total = 0
-    l = 0
-    while (arg := k - l * (l + 1) // 2 - l * s) >= 0:
-        total += -p[arg] if l % 2 else p[arg]
+    row = list(p[:K + 1])
+    l = 1
+    while (off := l * (l + 1) // 2 + l * s) <= K:
+        row[off:] = map(sub if l % 2 else add, row[off:], p[:K + 1 - off])
         l += 1
-    return total
+    return tuple(row)
 
 
 def pi_value_by_alpha(m: int, n: int, c_table: CoefficientTable, p_table: CoefficientTable) -> int:
@@ -103,16 +111,10 @@ def pi_value_by_alpha(m: int, n: int, c_table: CoefficientTable, p_table: Coeffi
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
     mu = min(m, n)
-    s = abs(m - n)
-    if c_table.max_index < mu or p_table.max_index < mu:
-        raise IndexError("tables too short for pi_value_by_alpha")
+    if c_table.max_index < mu:
+        raise IndexError("c table too short for pi_value_by_alpha")
     c = c_table.values()
-    total = 0
-    for k in range(mu + 1):
-        a = alpha(s, k, p_table)
-        if a:
-            total += c[mu - k] * a
-    return total
+    return sum(map(mul, c[mu::-1], alpha_row(abs(m - n), mu, p_table)))
 
 
 def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
@@ -137,12 +139,7 @@ def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
     if len(row) <= n:
         raise IndexError("crank table too short for d_value_by_crank")
     c = c_table.values()
-    total = 0
-    for k in range(L + 1):
-        mk = row[base + k]
-        if mk:
-            total += c[L - k] * mk
-    return total
+    return sum(map(mul, c[L::-1], row[base:n + 1]))
 
 
 def d_value_by_difference(m: int, n: int, c_table: CoefficientTable, p_table: CoefficientTable) -> int:
@@ -165,44 +162,44 @@ class EnumerationCapExceeded(ValueError):
     pass
 
 
-def enumerate_steady(
-    m: int,
-    n: int,
-    cap: int = 40,
-    collect: bool = False,
-) -> Tuple[int, Optional[List[tuple]]]:
-    """Count (and optionally list, as tuples of (a, b) pairs) steadily
-    decreasing pair sequences of total weight (m, n).
+def _check_weight(m: int, n: int, cap: int):
+    if m < 0 or n < 0:
+        raise ValueError("steady pair sequences take nonnegative weights")
+    if m + n > cap:
+        raise EnumerationCapExceeded(f"total weight {m + n} exceeds the enumeration cap {cap}")
+
+
+def enumerate_steady(m: int, n: int) -> int:
+    """The number of steadily decreasing pair sequences of total weight (m, n).
+
+    The cap on m + n is twice ``PRODUCT_CAP``: it admits the corner of the
+    largest box ``verify`` checks, and keeps the memo's recursion, one frame
+    per unit of weight, well inside Python's recursion limit.
+    """
+    _check_weight(m, n, 2 * PRODUCT_CAP)
+    return _steady_counts(m, n)[-1]
+
+
+def steady_partitions(m: int, n: int) -> List[tuple]:
+    """List the steadily decreasing pair sequences of total weight (m, n)
+    up to 40, each a tuple of (a, b) pairs.
 
     At each level we choose a pair (a, b) != (0, 0) with max(a, b) bounded
     by the min of the previous pair; individual components may be zero.
     The empty sequence is the unique witness for (0, 0).
     """
-    if m < 0 or n < 0:
-        raise ValueError("enumerate_steady takes nonnegative arguments")
-    if m + n > cap:
-        raise EnumerationCapExceeded(
-            f"total weight {m + n} exceeds the enumeration cap {cap}"
-        )
+    _check_weight(m, n, 40)
 
-    if collect:
-        found: List[tuple] = []
+    def walk(rm: int, rn: int, bound: int):
+        if rm == 0 and rn == 0:
+            yield ()
+        for a in range(min(bound, rm) + 1):
+            for b in range(min(bound, rn) + 1):
+                if a or b:
+                    for rest in walk(rm - a, rn - b, min(a, b)):
+                        yield ((a, b),) + rest
 
-        def walk(rm: int, rn: int, bound: int, prefix: list):
-            if rm == 0 and rn == 0:
-                found.append(tuple(prefix))
-            for a in range(min(bound, rm) + 1):
-                for b in range(min(bound, rn) + 1):
-                    if a == 0 and b == 0:
-                        continue
-                    prefix.append((a, b))
-                    walk(rm - a, rn - b, min(a, b), prefix)
-                    prefix.pop()
-
-        walk(m, n, max(m, n), [])
-        return len(found), found
-
-    return _steady_counts(m, n)[-1], None
+    return list(walk(m, n, max(m, n)))
 
 
 @cache

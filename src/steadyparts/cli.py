@@ -46,9 +46,15 @@ from .series import CoefficientTable
 
 DEFAULT_TIME_LIMIT_S = 30 * 60
 DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
+# longest time budget: within the timer's range even where time_t is 32 bits
+MAX_TIME_LIMIT_S = 1e9
 
 # rough size of one big-integer table entry at desk scale, for the memory guard
 _BYTES_PER_CELL = 256
+
+# the orders verify's telescoping and crank-marginal checks run to
+TELESCOPE_N = 40
+MARGINAL_N = 100
 
 
 class ResourceGuard:
@@ -58,12 +64,18 @@ class ResourceGuard:
     when it fires, the command aborts wherever it is, inside table builds
     too.  Signals reach only the main thread, so a command run from another
     thread gets no timer; a budget of 0 or less still aborts it at once.
-    The memory budget is checked before a table is built.
+    The memory budget is checked before a table is built.  A budget that
+    does not parse, or a time budget above MAX_TIME_LIMIT_S, aborts at once.
     """
 
     def __init__(self):
-        self.time_limit_s = float(os.environ.get("STEADYPARTS_TIME_LIMIT_S") or DEFAULT_TIME_LIMIT_S)
-        self.mem_limit_bytes = int(os.environ.get("STEADYPARTS_MEM_LIMIT_BYTES") or DEFAULT_MEM_LIMIT_BYTES)
+        try:
+            self.time_limit_s = float(os.environ.get("STEADYPARTS_TIME_LIMIT_S") or DEFAULT_TIME_LIMIT_S)
+            self.mem_limit_bytes = int(os.environ.get("STEADYPARTS_MEM_LIMIT_BYTES") or DEFAULT_MEM_LIMIT_BYTES)
+            if not self.time_limit_s <= MAX_TIME_LIMIT_S:  # nan fails this too
+                raise ValueError(f"time budget must be at most {MAX_TIME_LIMIT_S:g}s, got {self.time_limit_s:g}")
+        except ValueError as exc:
+            _fail_guard(f"malformed budget: {exc}")
 
     def _time_out(self, signum=None, frame=None):
         _fail_guard(f"time budget of {self.time_limit_s:g}s exceeded")
@@ -205,7 +217,7 @@ def compute(ctx, m, n):
         )
 
 
-def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, fault: bool):
+def _verify_checks(box: int, deep: bool, fault: bool):
     """Yield (name, passed, detail) tuples for each cross-check suite.
 
     The fast path (pi_value and d_value over the G table) is checked against
@@ -213,9 +225,10 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
     convolution over a c table from dense series inversion, the Carlitz box
     expansion and brute-force enumeration.
     """
-    p = build_p_table(max(marginal_n, telescope_n, 2 * box))
-    c = c_values_via_inversion(max(telescope_n, box))
-    G = build_g_table(max(telescope_n, box))
+    # p is read to the marginals' order and by alpha rows up to the box
+    p = build_p_table(max(MARGINAL_N, box))
+    c = c_values_via_inversion(max(TELESCOPE_N, box))
+    G = build_g_table(max(TELESCOPE_N, box))
     if fault:
         # negative control: corrupt one G value and watch the checks fail
         vals = list(G.values())
@@ -231,39 +244,37 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
             pi_value(m, n, G)
             == pi_value_by_alpha(m, n, c, p)
             == g[m][n]
-            == enumerate_steady(m, n, cap=2 * box)[0]
+            == enumerate_steady(m, n)
         )
     )
     total = (box + 1) ** 2
     yield ("three-way pi agreement", bad == 0, f"{total - bad}/{total} cells")
 
     # one product table; the order-t table is its rows |m| <= t cut at n <= t
-    crank_big = build_crank_table(max(marginal_n, telescope_n))
-    t = telescope_n
+    crank_big = build_crank_table(MARGINAL_N)
+    t = TELESCOPE_N
     crank = tuple(row[:t + 1] for row in crank_big[:t + 1] + crank_big[len(crank_big) - t:])
     bad = 0
-    checked = 0
-    for n in range(telescope_n + 1):
+    for n in range(TELESCOPE_N + 1):
         running = 0
         below = 0  # pi(m - 1, n) by the c/alpha convolution; pi(-1, n) = 0
         for m in range(2 * n + 1):
             dv = d_value(m, n, G)
             running += dv
-            checked += 1
             here = pi_value_by_alpha(m, n, c, p)
             if not dv == d_value_by_crank(m, n, c, crank) == here - below:
                 bad += 1
             below = here
             if running != pi_value(m, n, G):
                 bad += 1
-    yield ("telescoping D identity", bad == 0, f"{checked} cells, n <= {telescope_n}")
+    yield ("telescoping D identity", bad == 0, f"{(TELESCOPE_N + 1) ** 2} cells, n <= {TELESCOPE_N}")
 
     bad = sum(
         1
-        for n in range(marginal_n + 1)
+        for n in range(MARGINAL_N + 1)
         if sum(crank_big[m][n] for m in range(-n, n + 1)) != p.coeff(n)
     )
-    yield ("crank marginals equal p(n)", bad == 0, f"n <= {marginal_n}")
+    yield ("crank marginals equal p(n)", bad == 0, f"n <= {MARGINAL_N}")
 
     # pi(m, n) through G against pi(n, m) from the box expansion
     bad = sum(1 for m in range(box + 1) for n in range(m) if pi_value(m, n, G) != g[n][m])
@@ -272,8 +283,8 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
     if deep:
         from .crank import build_crank_table_lambert, crank_counts_by_enumeration
 
-        same = build_crank_table_lambert(telescope_n) == crank
-        yield ("crank expansion paths agree", same, f"order {telescope_n}")
+        same = build_crank_table_lambert(TELESCOPE_N) == crank
+        yield ("crank expansion paths agree", same, f"order {TELESCOPE_N}")
 
         bad = 0
         for n in range(2, 31):
@@ -292,9 +303,7 @@ def _verify_checks(box: int, telescope_n: int, marginal_n: int, deep: bool, faul
 def verify(ctx, deep, box, inject_fault):
     """Run the oracle cross-check suites; exit nonzero on any failure."""
     failures = 0
-    for name, passed, detail in _verify_checks(
-        box=box, telescope_n=40, marginal_n=100, deep=deep, fault=inject_fault
-    ):
+    for name, passed, detail in _verify_checks(box=box, deep=deep, fault=inject_fault):
         status = "PASS" if passed else "FAIL"
         click.echo(f"{status}  {name} ({detail})")
         if not passed:

@@ -28,8 +28,9 @@ this down; it is what makes the D(m,n) convolution identity exact.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from operator import neg, sub
-from typing import Dict, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .series import CoefficientTable, divide_by_euler, euler_product, invert, mul
 
@@ -96,20 +97,13 @@ def build_crank_table_lambert(N: int) -> tuple:
         raise ValueError("N must be nonnegative")
     grid = [[0] * (N + 1) for _ in range(2 * N + 1)]
     k = 1
-    while k * (k + 1) // 2 <= N:
+    while (base := k * (k + 1) // 2) <= N:
+        # term k puts zeta^i at q^(base + k i), i >= 0; term -k puts
+        # zeta^-(i+1) at the same power, k(k-1)/2 + k (i+1), sign flipped
         sign = -1 if k % 2 else 1
-        base = k * (k + 1) // 2
-        i = 0
-        while base + k * i <= N and i <= N:
-            grid[i][base + k * i] += sign
-            i += 1
-        j = k
-        sign_neg = 1 if j % 2 else -1  # (-1)^(j+1)
-        base = j * (j - 1) // 2
-        i = 1
-        while base + j * i <= N and i <= N:
-            grid[-i][base + j * i] += sign_neg
-            i += 1
+        for i, n in enumerate(range(base, N + 1, k)):
+            grid[i][n] += sign
+            grid[-1 - i][n] -= sign
         k += 1
     # times (1 - zeta): descending m, so each source row is still the old one
     for m in range(N, -N, -1):
@@ -208,14 +202,10 @@ def crank_of(partition: Sequence[int]) -> int:
     return bisect_left(partition, -ones, key=neg) - ones
 
 
-def crank_counts_by_enumeration(n: int) -> Dict[int, int]:
+def crank_counts_by_enumeration(n: int) -> Counter:
     """Combinatorial crank counts over all partitions of n (brute force).
 
     Agrees with the generating-function table for n = 0 and n >= 2; the
     n = 1 row intentionally differs (see module docstring).
     """
-    counts: Dict[int, int] = {}
-    for part in partitions_of(n):
-        c = crank_of(part)
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+    return Counter(map(crank_of, partitions_of(n)))

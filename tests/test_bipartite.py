@@ -1,11 +1,15 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steadyparts.bipartite import (
+    PRODUCT_CAP,
     EnumerationCapExceeded,
     ProductCapExceeded,
-    alpha,
+    alpha_row,
     d_value,
     d_value_by_crank,
     d_value_by_difference,
@@ -14,9 +18,11 @@ from steadyparts.bipartite import (
     is_steady,
     pi_value,
     pi_value_by_alpha,
+    steady_partitions,
 )
 from steadyparts.crank import build_crank_table, crank_column
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
+from steadyparts.series import CoefficientTable
 
 
 @pytest.fixture(scope="module")
@@ -42,36 +48,58 @@ def crank60():
 class TestAlpha:
     def test_k_zero(self, p_table):
         for s in range(10):
-            assert alpha(s, 0, p_table) == 1
+            assert alpha_row(s, 0, p_table) == (1,)
 
     def test_small_values(self, p_table):
-        assert alpha(0, 1, p_table) == 0  # p(1) - p(0)
-        assert alpha(1, 2, p_table) == 1  # p(2) - p(0)
+        assert alpha_row(0, 1, p_table)[1] == 0  # p(1) - p(0)
+        assert alpha_row(1, 2, p_table)[2] == 1  # p(2) - p(0)
 
     def test_short_table_raises(self):
         with pytest.raises(IndexError):
-            alpha(0, 11, build_p_table(10))
+            alpha_row(0, 11, build_p_table(10))
+
+    def test_row_matches_definition(self, p_table):
+        p = p_table.coeff
+        for s in range(6):
+            row = alpha_row(s, 60, p_table)
+            for k in range(61):
+                want = sum((-1) ** l * p(k - l * (l + 1) // 2 - l * s) for l in range(k + 1))
+                assert row[k] == want, (s, k)
+
+
+class TestOraclesKeepNoState:
+    def test_pi_by_alpha_keeps_no_table(self, c_table, g_table):
+        # CoefficientTable's slots leave out __weakref__; a subclass adds it
+        class Weakly(CoefficientTable):
+            __slots__ = ("__weakref__",)
+
+        p = Weakly(build_p_table(30).values())
+        table = weakref.ref(p)
+        assert pi_value_by_alpha(12, 17, c_table, p) == pi_value(12, 17, g_table)
+        del p
+        gc.collect()
+        assert table() is None
 
 
 class TestEnumerate:
     def test_empty_bipartite_number(self):
-        assert enumerate_steady(0, 0)[0] == 1
+        assert enumerate_steady(0, 0) == 1
 
     def test_one_sided(self):
         for k in range(1, 8):
-            assert enumerate_steady(0, k)[0] == 1
-            assert enumerate_steady(k, 0)[0] == 1
+            assert enumerate_steady(0, k) == 1
+            assert enumerate_steady(k, 0) == 1
 
     def test_two_one(self):
-        count, pairs = enumerate_steady(2, 1, collect=True)
-        assert count == 2
+        pairs = steady_partitions(2, 1)
+        assert enumerate_steady(2, 1) == len(pairs) == 2
         assert set(pairs) == {((2, 1),), ((1, 1), (1, 0))}
 
     def test_collected_pairs_are_valid(self):
         for m in range(5):
             for n in range(5):
-                count, pairs = enumerate_steady(m, n, collect=True)
-                assert count == len(pairs)
+                pairs = steady_partitions(m, n)
+                assert enumerate_steady(m, n) == len(pairs)
                 for parts in pairs:
                     assert is_steady(parts)
                     assert sum(a for a, _ in parts) == m
@@ -80,11 +108,13 @@ class TestEnumerate:
     def test_counts_match_listing(self):
         for m in range(15):
             for n in range(15 - m):
-                assert enumerate_steady(m, n)[0] == enumerate_steady(m, n, collect=True)[0], (m, n)
+                assert enumerate_steady(m, n) == len(steady_partitions(m, n)), (m, n)
 
     def test_cap(self):
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_steady(30, 30, cap=40)
+            steady_partitions(30, 30)
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_steady(PRODUCT_CAP + 1, PRODUCT_CAP)
 
     def test_steady_pair_rejects_violation(self):
         assert not is_steady(((1, 0), (1, 1)))
@@ -131,7 +161,7 @@ class TestThreeWayAgreement:
                 fast = pi_value(m, n, g_table)
                 assert fast == pi_value_by_alpha(m, n, c_table, p_table), (m, n)
                 assert fast == g[m][n], (m, n)
-                assert fast == enumerate_steady(m, n)[0], (m, n)
+                assert fast == enumerate_steady(m, n), (m, n)
 
     def test_gf_cap(self):
         with pytest.raises(ProductCapExceeded):
@@ -226,7 +256,7 @@ class TestGPathAgainstOracles:
         for m in range(M + 1):
             for n in range(N + 1):
                 assert pi_value(m, n, g_table) == box[m][n], (m, n)
-        assert pi_value(M, N, g_table) == enumerate_steady(M, N)[0]
+        assert pi_value(M, N, g_table) == enumerate_steady(M, N)
 
     def test_d_at_2500(self, p3000, c3000, g3000):
         column = {0: crank_column(0, 2500, p3000)}

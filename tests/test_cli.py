@@ -119,6 +119,28 @@ class TestGuard:
         assert elapsed < 1.5
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("STEADYPARTS_TIME_LIMIT_S", "abc"),
+            ("STEADYPARTS_TIME_LIMIT_S", "nan"),
+            ("STEADYPARTS_TIME_LIMIT_S", "inf"),
+            ("STEADYPARTS_TIME_LIMIT_S", "1e10"),  # would overflow the timer's time_t
+            ("STEADYPARTS_MEM_LIMIT_BYTES", "1e9"),
+        ],
+    )
+    def test_malformed_budget_aborts_cleanly(self, runner, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        handler = signal.getsignal(signal.SIGALRM)
+        res = runner.invoke(cli, ["compute", "--m", "3", "--n", "3"], obj={})
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("aborted: ")
+        assert res.stderr.count("\n") == 1
+        assert res.stdout == ""
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler
+
     @staticmethod
     def invoke_in_thread(runner, args):
         results = []
