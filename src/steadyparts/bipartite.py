@@ -28,9 +28,9 @@ No oracle keeps a table alive between calls.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 from operator import add, mul, sub
-from typing import List, Sequence, Tuple
 
 from .series import CoefficientTable
 
@@ -150,7 +150,7 @@ def d_value_by_difference(m: int, n: int, c_table: CoefficientTable, p_table: Co
     return hi - lo
 
 
-def is_steady(parts: Sequence[Tuple[int, int]]) -> bool:
+def is_steady(parts: Sequence[tuple[int, int]]) -> bool:
     """True when `parts` is a sequence of part-pairs (a_i, b_i) != (0, 0)
     with nonnegative components and min(a_i, b_i) >= max(a_{i+1}, b_{i+1})."""
     if any(a < 0 or b < 0 or (a, b) == (0, 0) for a, b in parts):
@@ -180,7 +180,7 @@ def enumerate_steady(m: int, n: int) -> int:
     return _steady_counts(m, n)[-1]
 
 
-def steady_partitions(m: int, n: int) -> List[tuple]:
+def steady_partitions(m: int, n: int) -> list[tuple]:
     """List the steadily decreasing pair sequences of total weight (m, n)
     up to 40, each a tuple of (a, b) pairs.
 

@@ -16,13 +16,12 @@ requests cleanly.
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import signal
 import sys
 import threading
-
-import click
 
 # json and concurrent.futures (which pulls in logging) are imported where
 # --format json and --threads > 1 need them, to keep them out of start-up.
@@ -104,19 +103,8 @@ class ResourceGuard:
 
 
 def _fail_guard(reason: str):
-    click.echo(f"aborted: {reason}", err=True)
+    print(f"aborted: {reason}", file=sys.stderr)
     sys.exit(2)
-
-
-@click.group()
-@click.option("--threads", default=1, type=click.IntRange(min=1), help="Worker threads for per-cell computation.")
-@click.pass_context
-def cli(ctx, threads):
-    """Exact bipartite partition counts and their uniform asymptotics."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
-    # the time budget runs until the subcommand returns
-    ctx.obj["guard"] = ctx.with_resource(ResourceGuard())
 
 
 def _table1_rows(l_values, threads, guard):
@@ -155,63 +143,50 @@ def _table1_rows(l_values, threads, guard):
     return rows
 
 
-@cli.command()
-@click.option("--L", "l_list", default="10,40", show_default=True, help="Comma-separated list of L values.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="text", show_default=True)
-@click.pass_context
-def table1(ctx, l_list, fmt):
+def table1(args, guard):
     """Exact vs. asymptotic values of pi on and near the diagonal."""
-    try:
-        l_values = sorted({int(tok) for tok in l_list.split(",") if tok.strip()})
-    except ValueError:
-        raise click.BadParameter(f"cannot parse L list {l_list!r}")
-    if not l_values or min(l_values) < 1:
-        raise click.BadParameter("L values must be positive integers")
-    rows = _table1_rows(l_values, ctx.obj["threads"], ctx.obj["guard"])
-    if fmt == "csv":
-        click.echo("L,pi,A,ratio")
+    rows = _table1_rows(args.l_values, args.threads, guard)
+    if args.fmt == "csv":
+        print("L,pi,A,ratio")
         for r in rows:
-            click.echo(f"{r['L']},{r['pi_sci']},{r['A_sci']},{r['ratio']}")
-    elif fmt == "json":
+            print(f"{r['L']},{r['pi_sci']},{r['A_sci']},{r['ratio']}")
+    elif args.fmt == "json":
         import json
 
-        click.echo(json.dumps(rows, indent=2))
+        print(json.dumps(rows, indent=2))
     else:
         for r in rows:
             kind = "diagonal " if r["m"] == r["n"] else "off-diag "
-            click.echo(
+            print(
                 f"L={r['L']:>4} {kind} pi({r['m']},{r['n']}) = {r['pi_sci']}"
                 f"   A = {r['A_sci']}   ratio = {r['ratio']}"
             )
-            click.echo(f"           exact: {r['pi_exact']}")
+            print(f"           exact: {r['pi_exact']}")
 
 
-@cli.command()
-@click.option("--m", "m", required=True, type=click.IntRange(min=0))
-@click.option("--n", "n", required=True, type=click.IntRange(min=0))
-@click.pass_context
-def compute(ctx, m, n):
+def compute(args, guard):
     """Exact pi(m,n) and D(m,n) for one cell, with asymptotics and ratios."""
+    m, n = args.m, args.n
     mu = min(m, n)
     # D needs G up to min(m, 2n - m), which is at most mu
-    ctx.obj["guard"].require_cells(mu + 1)
+    guard.require_cells(mu + 1)
     G = build_g_table(mu)
     v = pi_value(m, n, G)
-    click.echo(f"pi({m},{n}) = {v}")
+    print(f"pi({m},{n}) = {v}")
     if v > 0 and mu >= 1:
         a = asym_pi(m, n)
-        click.echo(
+        print(
             f"  sci = {sci_from_int(v)}   asym = {sci_from_log(a)}"
             f"   ratio = {ratio_string(math.log(v), a)}"
         )
     if m > 2 * n:
-        click.echo(f"D({m},{n}) = 0 (vanishes identically for m > 2n; no asymptotic applies)")
+        print(f"D({m},{n}) = 0 (vanishes identically for m > 2n; no asymptotic applies)")
         return
     d = d_value(m, n, G)
-    click.echo(f"D({m},{n}) = {d}")
+    print(f"D({m},{n}) = {d}")
     if d > 0 and 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
         ad = asym_D(m, n)
-        click.echo(
+        print(
             f"  sci = {sci_from_int(d)}   asym = {sci_from_log(ad)}"
             f"   ratio = {ratio_string(math.log(d), ad)}"
         )
@@ -295,57 +270,144 @@ def _verify_checks(box: int, deep: bool, fault: bool):
         yield ("combinatorial crank counts", bad == 0, "2 <= n <= 30")
 
 
-@cli.command()
-@click.option("--deep", is_flag=True, help="Also compare both crank expansions and brute-force crank counts.")
-@click.option("--box", default=10, show_default=True, type=click.IntRange(min=1, max=PRODUCT_CAP))
-@click.option("--inject-fault", is_flag=True, hidden=True)
-@click.pass_context
-def verify(ctx, deep, box, inject_fault):
+def verify(args, guard):
     """Run the oracle cross-check suites; exit nonzero on any failure."""
     failures = 0
-    for name, passed, detail in _verify_checks(box=box, deep=deep, fault=inject_fault):
+    for name, passed, detail in _verify_checks(box=args.box, deep=args.deep, fault=args.inject_fault):
         status = "PASS" if passed else "FAIL"
-        click.echo(f"{status}  {name} ({detail})")
+        print(f"{status}  {name} ({detail})")
         if not passed:
             failures += 1
     if failures:
-        click.echo(f"{failures} check(s) failed", err=True)
+        sys.stdout.flush()  # the report comes before the verdict when both streams share a file
+        print(f"{failures} check(s) failed", file=sys.stderr)
         sys.exit(1)
-    click.echo("all checks passed")
+    print("all checks passed")
 
 
-@cli.command("crank-row")
-@click.option("--n", "n", required=True, type=click.IntRange(min=0))
-@click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="text", show_default=True)
-@click.pass_context
-def crank_row(ctx, n, fmt):
+def crank_row(args, guard):
     """Crank counts M(m, n) for m = -n .. n at a single n."""
-    ctx.obj["guard"].require_cells(n + 1)
+    n = args.n
+    guard.require_cells(n + 1)
     p = build_p_table(n)
     values = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
-    if fmt == "csv":
-        click.echo("m,M")
+    if args.fmt == "csv":
+        print("m,M")
         for m, v in values:
-            click.echo(f"{m},{v}")
-    elif fmt == "json":
+            print(f"{m},{v}")
+    elif args.fmt == "json":
         import json
 
-        click.echo(json.dumps([{"m": m, "M": str(v)} for m, v in values], indent=2))
+        print(json.dumps([{"m": m, "M": str(v)} for m, v in values], indent=2))
     else:
         for m, v in values:
-            click.echo(f"M({m},{n}) = {v}")
+            print(f"M({m},{n}) = {v}")
 
 
-@cli.command()
-@click.option("--m", "m", required=True, type=click.IntRange(min=1))
-@click.option("--n", "n", required=True, type=click.IntRange(min=1))
-def asym(m, n):
+def asym(args, guard):
     """Asymptotic main terms for pi(m,n) and D(m,n)."""
-    click.echo(f"asym_pi({m},{n}) = {sci_from_log(asym_pi(m, n))}")
+    m, n = args.m, args.n
+    print(f"asym_pi({m},{n}) = {sci_from_log(asym_pi(m, n))}")
     if 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
-        click.echo(f"asym_D({m},{n})  = {sci_from_log(asym_D(m, n))}")
+        print(f"asym_D({m},{n})  = {sci_from_log(asym_D(m, n))}")
     else:
-        click.echo(f"asym_D({m},{n})  = n/a (requires 1 <= m <= 2n with min(m, 2n-m) >= 1)")
+        print(f"asym_D({m},{n})  = n/a (requires 1 <= m <= 2n with min(m, 2n-m) >= 1)")
+
+
+def _int_range(lo: int, hi: int | None = None):
+    """An argparse type: an int of at least lo, and at most hi if given."""
+    bounds = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+        return value
+
+    return parse
+
+
+def _l_list(text: str) -> list[int]:
+    """An argparse type: the distinct L values of a comma-separated list, sorted."""
+    try:
+        l_values = sorted({int(tok) for tok in text.split(",") if tok.strip()})
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse L list {text!r}") from None
+    if not l_values or min(l_values) < 1:
+        raise argparse.ArgumentTypeError("L values must be positive integers")
+    return l_values
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="steadyparts",
+        description="Exact bipartite partition counts and their uniform asymptotics.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--threads", type=_int_range(1), default=1, help="worker threads for per-cell computation")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run):
+        name = run.__name__.replace("_", "-")
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    def add_format(sub):
+        sub.add_argument("--format", dest="fmt", choices=("csv", "json", "text"), default="text",
+                         help="output format (default: text)")
+
+    sub = command(table1)
+    sub.add_argument("--L", dest="l_values", type=_l_list, default="10,40",
+                     help="comma-separated list of L values (default: 10,40)")
+    add_format(sub)
+
+    sub = command(compute)
+    sub.add_argument("--m", required=True, type=_int_range(0))
+    sub.add_argument("--n", required=True, type=_int_range(0))
+
+    sub = command(verify)
+    sub.add_argument("--deep", action="store_true",
+                     help="also compare both crank expansions and brute-force crank counts")
+    sub.add_argument("--box", type=_int_range(1, PRODUCT_CAP), default=10,
+                     help=f"side of the checked pi box, 1..{PRODUCT_CAP} (default: 10)")
+    sub.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+
+    sub = command(crank_row)
+    sub.add_argument("--n", required=True, type=_int_range(0))
+    add_format(sub)
+
+    sub = command(asym)
+    sub.add_argument("--m", required=True, type=_int_range(1))
+    sub.add_argument("--n", required=True, type=_int_range(1))
+    return parser
+
+
+def cli(args: list[str] | None = None) -> None:
+    """Parse `args` (default: sys.argv[1:]) and run one command under one
+    ResourceGuard.
+
+    Exit status: 0 on success; 1 when verify finds a failure or the reader
+    closes stdout early; 2 on a usage error (usage on stderr) or a guard
+    abort (one `aborted: ...` line on stderr).
+    """
+    ns = _parser().parse_args(args)
+    try:
+        with ResourceGuard() as guard:
+            ns.run(ns, guard)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); as the Python docs advise,
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+# click's Group.main signature, through which bench/tracer.py calls the CLI
+cli.main = lambda args=None, prog_name=None, obj=None: cli(args)
 
 
 if __name__ == "__main__":

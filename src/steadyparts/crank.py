@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from operator import neg, sub
-from typing import Iterator, Sequence
 
 from .series import CoefficientTable, divide_by_euler, euler_product, invert, mul
 

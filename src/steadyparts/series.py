@@ -23,7 +23,7 @@ Tables are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class CoefficientTable:

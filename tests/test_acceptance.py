@@ -219,20 +219,10 @@ def test_criterion_7_saddle_function():
     )
 
 
-def test_criterion_8_determinism_across_threads():
-    from click.testing import CliRunner
-
-    from steadyparts.cli import cli
-
-    runner = CliRunner()
+def test_criterion_8_determinism_across_threads(run_cli):
     outputs = []
     for threads in ("1", "8"):
-        res = runner.invoke(
-            cli,
-            ["--threads", threads, "table1", "--L", "10"],
-            obj={},
-            catch_exceptions=False,
-        )
-        assert res.exit_code == 0
-        outputs.append(res.output)
+        res = run_cli(["--threads", threads, "table1", "--L", "10"])
+        assert res.code == 0
+        outputs.append(res.stdout)
     report("8. byte-identical table1 output for --threads 1 and 8", outputs[0] == outputs[1])
