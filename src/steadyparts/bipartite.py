@@ -11,8 +11,8 @@ sum of O(sqrt(mu)) coefficients of G = c * p, the series
 
 Independent routes are kept as oracles, for the tests and ``verify`` only:
 
-* ``pi_value_by_alpha``     -- the c/alpha convolution, one sum against the
-                               row ``alpha_row(s, mu, p)``;
+* ``pi_value_by_alpha``     -- the c/alpha convolution, one sum against a
+                               row ``alpha_row(s, K, p)`` the caller builds;
 * ``d_value_by_crank``      -- D through the crank convolution c * M, one sum
                                against a slice of one crank row;
 * ``d_value_by_difference`` -- D as a difference of two c/alpha values;
@@ -106,15 +106,19 @@ def alpha_row(s: int, K: int, p_table: CoefficientTable) -> tuple:
     return tuple(row)
 
 
-def pi_value_by_alpha(m: int, n: int, c_table: CoefficientTable, p_table: CoefficientTable) -> int:
-    """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k)."""
+def pi_value_by_alpha(m: int, n: int, c_table: CoefficientTable, alpha) -> int:
+    """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k),
+    with `alpha` anything indexed alpha[s][k], such as rows of ``alpha_row``."""
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
     mu = min(m, n)
     if c_table.max_index < mu:
         raise IndexError("c table too short for pi_value_by_alpha")
+    row = alpha[abs(m - n)]
+    if len(row) <= mu:
+        raise IndexError("alpha row too short for pi_value_by_alpha")
     c = c_table.values()
-    return sum(map(mul, c[mu::-1], alpha_row(abs(m - n), mu, p_table)))
+    return sum(map(mul, c[mu::-1], row))
 
 
 def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
@@ -142,11 +146,11 @@ def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
     return sum(map(mul, c[L::-1], row[base:n + 1]))
 
 
-def d_value_by_difference(m: int, n: int, c_table: CoefficientTable, p_table: CoefficientTable) -> int:
-    """Oracle for D(m, n): pi(m,n) - pi(m-1,n) by the c/alpha convolution,
-    with pi(-1,n) = 0."""
-    hi = pi_value_by_alpha(m, n, c_table, p_table)
-    lo = 0 if m == 0 else pi_value_by_alpha(m - 1, n, c_table, p_table)
+def d_value_by_difference(m: int, n: int, c_table: CoefficientTable, alpha) -> int:
+    """Oracle for D(m, n): pi(m,n) - pi(m-1,n) by the c/alpha convolution over
+    the rows `alpha`, with pi(-1,n) = 0."""
+    hi = pi_value_by_alpha(m, n, c_table, alpha)
+    lo = 0 if m == 0 else pi_value_by_alpha(m - 1, n, c_table, alpha)
     return hi - lo
 
 

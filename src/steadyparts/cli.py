@@ -28,9 +28,10 @@ import threading
 # Every steadyparts module is imported here, eagerly: bench/tracer.py wraps
 # the layer functions of the package modules loaded with this one, so a
 # lazily imported package module would drop out of the trace.
-from .asymptotics import asym_D, asym_pi
+from .asymptotics import C, asym_D, asym_pi
 from .bipartite import (
     PRODUCT_CAP,
+    alpha_row,
     d_value,
     d_value_by_crank,
     enumerate_steady,
@@ -48,8 +49,10 @@ DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
 # longest time budget: within the timer's range even where time_t is 32 bits
 MAX_TIME_LIMIT_S = 1e9
 
-# rough size of one big-integer table entry at desk scale, for the memory guard
-_BYTES_PER_CELL = 256
+# log p(n) ~ pi sqrt(2n/3) and log G(n) ~ C sqrt(n): the growth of the
+# tables' entries, from which the memory guard sizes a table
+P_GROWTH = math.pi * math.sqrt(2 / 3)
+G_GROWTH = C
 
 # the orders verify's telescoping and crank-marginal checks run to
 TELESCOPE_N = 40
@@ -93,13 +96,22 @@ class ResourceGuard:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, self._previous)
 
-    def require_cells(self, cells: int):
-        need = cells * _BYTES_PER_CELL
+    def require_table(self, N: int, growth: float):
+        need = table_bytes(N, growth)
         if need > self.mem_limit_bytes:
             _fail_guard(
                 f"request needs ~{need} bytes of table storage, "
                 f"budget is {self.mem_limit_bytes}"
             )
+
+
+def table_bytes(N: int, growth: float) -> int:
+    """Bytes a table of entries 0..N takes, from above, when entry n has
+    about growth * sqrt(n) / ln 2 bits: an int is a 28-byte header and
+    4 bytes per 30 bits, plus 16 bytes of list and tuple slots.  The bits
+    sum to at most growth * (2/3) (N + 1)^1.5 / ln 2."""
+    bits = growth * (N + 1) ** 1.5 / (1.5 * math.log(2))
+    return math.ceil(44 * (N + 1) + bits / 7.5)
 
 
 def _fail_guard(reason: str):
@@ -110,7 +122,7 @@ def _fail_guard(reason: str):
 def _table1_rows(l_values, threads, guard):
     # both cells of a row have min(m, n) = L^2
     mu_max = max(L * L for L in l_values)
-    guard.require_cells(mu_max + 1)
+    guard.require_table(mu_max, G_GROWTH)
     G = build_g_table(mu_max)
 
     cells = []
@@ -169,7 +181,7 @@ def compute(args, guard):
     m, n = args.m, args.n
     mu = min(m, n)
     # D needs G up to min(m, 2n - m), which is at most mu
-    guard.require_cells(mu + 1)
+    guard.require_table(mu, G_GROWTH)
     G = build_g_table(mu)
     v = pi_value(m, n, G)
     print(f"pi({m},{n}) = {v}")
@@ -200,10 +212,13 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     convolution over a c table from dense series inversion, the Carlitz box
     expansion and brute-force enumeration.
     """
-    # p is read to the marginals' order and by alpha rows up to the box
+    # p is read to the marginals' order; every pi cell checked has
+    # min(m, n) and |m - n| at most K
+    K = max(TELESCOPE_N, box)
     p = build_p_table(max(MARGINAL_N, box))
-    c = c_values_via_inversion(max(TELESCOPE_N, box))
-    G = build_g_table(max(TELESCOPE_N, box))
+    c = c_values_via_inversion(K)
+    alpha = [alpha_row(s, K, p) for s in range(K + 1)]
+    G = build_g_table(K)
     if fault:
         # negative control: corrupt one G value and watch the checks fail
         vals = list(G.values())
@@ -217,7 +232,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
         for n in range(box + 1)
         if not (
             pi_value(m, n, G)
-            == pi_value_by_alpha(m, n, c, p)
+            == pi_value_by_alpha(m, n, c, alpha)
             == g[m][n]
             == enumerate_steady(m, n)
         )
@@ -236,7 +251,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
         for m in range(2 * n + 1):
             dv = d_value(m, n, G)
             running += dv
-            here = pi_value_by_alpha(m, n, c, p)
+            here = pi_value_by_alpha(m, n, c, alpha)
             if not dv == d_value_by_crank(m, n, c, crank) == here - below:
                 bad += 1
             below = here
@@ -261,12 +276,8 @@ def _verify_checks(box: int, deep: bool, fault: bool):
         same = build_crank_table_lambert(TELESCOPE_N) == crank
         yield ("crank expansion paths agree", same, f"order {TELESCOPE_N}")
 
-        bad = 0
-        for n in range(2, 31):
-            counts = crank_counts_by_enumeration(n)
-            for m in range(-n, n + 1):
-                if counts.get(m, 0) != crank[m][n]:
-                    bad += 1
+        counts = crank_counts_by_enumeration(30)
+        bad = sum(1 for n in range(2, 31) for m in range(-n, n + 1) if counts[n].get(m, 0) != crank[m][n])
         yield ("combinatorial crank counts", bad == 0, "2 <= n <= 30")
 
 
@@ -288,7 +299,7 @@ def verify(args, guard):
 def crank_row(args, guard):
     """Crank counts M(m, n) for m = -n .. n at a single n."""
     n = args.n
-    guard.require_cells(n + 1)
+    guard.require_table(n, P_GROWTH)
     p = build_p_table(n)
     values = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
     if args.fmt == "csv":

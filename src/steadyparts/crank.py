@@ -202,10 +202,28 @@ def crank_of(partition: Sequence[int]) -> int:
     return bisect_left(partition, -ones, key=neg) - ones
 
 
-def crank_counts_by_enumeration(n: int) -> Counter:
-    """Combinatorial crank counts over all partitions of n (brute force).
+def crank_counts_by_enumeration(N: int) -> list[Counter]:
+    """Combinatorial crank counts for every n = 0..N (brute force): entry n
+    counts the cranks of the partitions of n.
+
+    One walk over the partitions of N serves every order: a partition of n
+    is a partition of N with N - n of its ones removed.  So each partition
+    lam + (t ones) of N yields lam + (w ones) for w = t, t-1, .., 0, whose
+    crank is lam's largest part at w = 0 and otherwise the number of parts
+    of lam above w, less w; a pointer walks down lam as w grows.
 
     Agrees with the generating-function table for n = 0 and n >= 2; the
     n = 1 row intentionally differs (see module docstring).
     """
-    return Counter(map(crank_of, partitions_of(n)))
+    # rows[n][m], a negative crank m from the end: plain list increments,
+    # about twice as fast as Counter's
+    rows = [[0] * (2 * N + 1) for _ in range(N + 1)]
+    for partition in partitions_of(N):
+        t = partition.count(1)
+        above = len(partition) - t
+        rows[N - t][partition[0] if above else 0] += 1
+        for w in range(1, t + 1):
+            while above and partition[above - 1] <= w:
+                above -= 1
+            rows[N - t + w][above - w] += 1
+    return [Counter({m: v for m in range(-n, n + 1) if (v := row[m])}) for n, row in enumerate(rows)]

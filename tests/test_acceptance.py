@@ -17,6 +17,7 @@ from steadyparts.asymptotics import (
     f_saddle,
 )
 from steadyparts.bipartite import (
+    alpha_row,
     d_value,
     d_value_by_crank,
     d_value_by_difference,
@@ -119,17 +120,20 @@ def test_criterion_2_table1_off_diagonal(g_big):
 
 def test_criterion_3_three_way_equivalence(p_big, c_big, g_big):
     g = gf_table(10, 10)
+    alpha = [alpha_row(s, 10, p_big) for s in range(11)]
     bad = 0
     for m in range(11):
         for n in range(11):
             fast = pi_value(m, n, g_big)
-            if not fast == pi_value_by_alpha(m, n, c_big, p_big) == g[m][n] == enumerate_steady(m, n):
+            if not fast == pi_value_by_alpha(m, n, c_big, alpha) == g[m][n] == enumerate_steady(m, n):
                 bad += 1
     report("3. three-way oracle equivalence (121 cells)", bad == 0, f"{121 - bad}/121 agree")
 
 
 def test_criterion_4_difference_identity(p_big, c_big, g_big):
     crank = build_crank_table(40)
+    # the cells have min(m, n) <= 40 and |m - n| <= 80
+    alpha = [alpha_row(s, 40, p_big) for s in range(81)]
     bad = 0
     cells = 0
     for n in range(41):
@@ -137,7 +141,7 @@ def test_criterion_4_difference_identity(p_big, c_big, g_big):
             cells += 1
             via_g = d_value(m, n, g_big)
             via_crank = d_value_by_crank(m, n, c_big, crank)
-            via_diff = d_value_by_difference(m, n, c_big, p_big)
+            via_diff = d_value_by_difference(m, n, c_big, alpha)
             if not via_g == via_crank == via_diff:
                 bad += 1
             if m > 2 * n and via_g != 0:
@@ -163,10 +167,10 @@ def test_criterion_5_crank_soundness(p_big):
     paths_agree = build_crank_table_lambert(N) == table
     ok = ok and paths_agree
     combinatorial = True
+    counts = crank_counts_by_enumeration(40)
     for n in range(2, 41):
-        counts = crank_counts_by_enumeration(n)
         for m in range(-n, n + 1):
-            if counts.get(m, 0) != table[m][n]:
+            if counts[n].get(m, 0) != table[m][n]:
                 combinatorial = False
     ok = ok and combinatorial
     report(

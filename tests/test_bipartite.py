@@ -45,6 +45,12 @@ def crank60():
     return build_crank_table(60)
 
 
+@pytest.fixture(scope="module")
+def alpha200(p_table):
+    """The rows alpha(s, 0..200) for s = 0..200."""
+    return tuple(alpha_row(s, 200, p_table) for s in range(201))
+
+
 class TestAlpha:
     def test_k_zero(self, p_table):
         for s in range(10):
@@ -66,6 +72,26 @@ class TestAlpha:
                 want = sum((-1) ** l * p(k - l * (l + 1) // 2 - l * s) for l in range(k + 1))
                 assert row[k] == want, (s, k)
 
+    def test_rows_give_pi_on_a_box(self, c_table, g_table, p_table, alpha200):
+        # rows built to K = 40 cover the 40 x 40 box; rows built to 200 are
+        # the same rows, longer
+        rows = tuple(alpha_row(s, 40, p_table) for s in range(41))
+        for s in range(41):
+            assert alpha200[s][:41] == rows[s], s
+        for m in range(41):
+            for n in range(41):
+                fast = pi_value(m, n, g_table)
+                assert pi_value_by_alpha(m, n, c_table, rows) == fast, (m, n)
+                assert pi_value_by_alpha(m, n, c_table, alpha200) == fast, (m, n)
+
+    def test_short_rows_raise(self, c_table, p_table):
+        rows = tuple(alpha_row(s, 10, p_table) for s in range(11))
+        assert pi_value_by_alpha(10, 20, c_table, rows) == pi_value_by_alpha(20, 10, c_table, rows)
+        with pytest.raises(IndexError):
+            pi_value_by_alpha(10, 21, c_table, rows)  # no row s = 11
+        with pytest.raises(IndexError):
+            pi_value_by_alpha(11, 11, c_table, rows)  # row s = 0 ends at k = 10
+
 
 class TestOraclesKeepNoState:
     def test_pi_by_alpha_keeps_no_table(self, c_table, g_table):
@@ -75,7 +101,7 @@ class TestOraclesKeepNoState:
 
         p = Weakly(build_p_table(30).values())
         table = weakref.ref(p)
-        assert pi_value_by_alpha(12, 17, c_table, p) == pi_value(12, 17, g_table)
+        assert pi_value_by_alpha(12, 17, c_table, {5: alpha_row(5, 12, p)}) == pi_value(12, 17, g_table)
         del p
         gc.collect()
         assert table() is None
@@ -122,21 +148,21 @@ class TestEnumerate:
 
 
 class TestPiValue:
-    def test_edges(self, g_table, c_table, p_table):
+    def test_edges(self, g_table, c_table, alpha200):
         for k in range(15):
             assert pi_value(0, k, g_table) == pi_value(k, 0, g_table) == 1
-            assert pi_value_by_alpha(0, k, c_table, p_table) == 1
-            assert pi_value_by_alpha(k, 0, c_table, p_table) == 1
+            assert pi_value_by_alpha(0, k, c_table, alpha200) == 1
+            assert pi_value_by_alpha(k, 0, c_table, alpha200) == 1
 
-    def test_two_one(self, g_table, c_table, p_table):
-        assert pi_value(2, 1, g_table) == pi_value_by_alpha(2, 1, c_table, p_table) == 2
+    def test_two_one(self, g_table, c_table, alpha200):
+        assert pi_value(2, 1, g_table) == pi_value_by_alpha(2, 1, c_table, alpha200) == 2
 
     def test_table1_leading_digits(self):
         from steadyparts.formatting import sci_from_int
 
         assert sci_from_int(pi_value(100, 100, build_g_table(100))) == "2.02082e13"
 
-    def test_symmetry(self, g_table, c_table, p_table):
+    def test_symmetry(self, g_table, c_table, alpha200):
         # both pi routes read only min(m, n) and |m - n|, so compare them with
         # pi(n, m) from the box expansion, which has no such symmetry built in
         g = gf_table(24, 24)
@@ -144,7 +170,7 @@ class TestPiValue:
             for n in range(m):
                 assert g[m][n] == g[n][m], (m, n)
                 assert pi_value(m, n, g_table) == g[n][m], (m, n)
-                assert pi_value_by_alpha(m, n, c_table, p_table) == g[n][m], (m, n)
+                assert pi_value_by_alpha(m, n, c_table, alpha200) == g[n][m], (m, n)
 
     def test_short_table_raises(self):
         with pytest.raises(IndexError):
@@ -154,12 +180,12 @@ class TestPiValue:
 
 
 class TestThreeWayAgreement:
-    def test_box_ten(self, g_table, c_table, p_table):
+    def test_box_ten(self, g_table, c_table, alpha200):
         g = gf_table(10, 10)
         for m in range(11):
             for n in range(11):
                 fast = pi_value(m, n, g_table)
-                assert fast == pi_value_by_alpha(m, n, c_table, p_table), (m, n)
+                assert fast == pi_value_by_alpha(m, n, c_table, alpha200), (m, n)
                 assert fast == g[m][n], (m, n)
                 assert fast == enumerate_steady(m, n), (m, n)
 
@@ -182,24 +208,24 @@ class TestDValue:
             for m in range(2 * n + 1, 3 * n + 1):
                 assert d_value(m, n, g_table) == d_value_by_crank(m, n, c_table, crank60) == 0
 
-    def test_identity_against_difference(self, g_table, c_table, p_table, crank60):
+    def test_identity_against_difference(self, g_table, c_table, alpha200, crank60):
         # the G path against both oracles on every cell with n <= 40, m <= 3n
         for n in range(41):
             for m in range(3 * n + 1):
                 assert (
                     d_value(m, n, g_table)
                     == d_value_by_crank(m, n, c_table, crank60)
-                    == d_value_by_difference(m, n, c_table, p_table)
+                    == d_value_by_difference(m, n, c_table, alpha200)
                 ), (m, n)
 
-    def test_telescoping(self, g_table, c_table, p_table, crank60):
+    def test_telescoping(self, g_table, c_table, alpha200, crank60):
         for n in range(61):
             running = running_crank = 0
             for m in range(2 * n + 1):
                 running += d_value(m, n, g_table)
                 running_crank += d_value_by_crank(m, n, c_table, crank60)
                 assert running == pi_value(m, n, g_table), (m, n)
-                assert running_crank == pi_value_by_alpha(m, n, c_table, p_table), (m, n)
+                assert running_crank == pi_value_by_alpha(m, n, c_table, alpha200), (m, n)
 
     def test_three_regimes_match_unified_formula(self, c_table, crank60):
         # the piecewise forms for 0<=m<=n, n<=m<=2n and m>2n all reduce to
@@ -244,7 +270,7 @@ class TestGPathAgainstOracles:
     @example(mu=2999, s=57, flip=True)
     def test_pi_matches_alpha_convolution(self, p3000, c3000, g3000, mu, s, flip):
         m, n = (mu + s, mu) if flip else (mu, mu + s)
-        assert pi_value(m, n, g3000) == pi_value_by_alpha(m, n, c3000, p3000)
+        assert pi_value(m, n, g3000) == pi_value_by_alpha(m, n, c3000, {s: alpha_row(s, mu, p3000)})
 
     @settings(max_examples=25, deadline=None)
     @given(M=st.integers(0, 14), N=st.integers(0, 14))

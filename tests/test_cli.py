@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from steadyparts.cli import asym, compute, crank_row, table1, verify
+from steadyparts.cli import G_GROWTH, asym, compute, crank_row, table1, table_bytes, verify
+from steadyparts.partitions import build_g_table
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -97,6 +98,11 @@ class TestGuard:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
 
+    def test_table_estimate_bounds_g_from_above(self):
+        values = build_g_table(10000).values()
+        held = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
+        assert held <= table_bytes(10000, G_GROWTH) <= 1.5 * held
+
     def test_compute_time_guard(self, run_cli, monkeypatch):
         monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0")
         res = run_cli(["compute", "--m", "100", "--n", "100"])
@@ -164,6 +170,34 @@ class TestVerify:
         assert res.code == 0
         assert "36/36 cells" in res.stdout
         assert "all checks passed" in res.stdout
+
+    def test_deep_report(self, run_cli):
+        res = run_cli(["verify", "--deep"])
+        assert res.code == 0
+        assert res.stdout == (
+            "PASS  three-way pi agreement (121/121 cells)\n"
+            "PASS  telescoping D identity (1681 cells, n <= 40)\n"
+            "PASS  crank marginals equal p(n) (n <= 100)\n"
+            "PASS  pi symmetry (box 10x10)\n"
+            "PASS  crank expansion paths agree (order 40)\n"
+            "PASS  combinatorial crank counts (2 <= n <= 30)\n"
+            "all checks passed\n"
+        )
+
+    def test_deep_injected_fault_fails_the_g_checks(self, run_cli):
+        # G[2] is off by one: every check that reads G fails, no other
+        res = run_cli(["verify", "--deep", "--inject-fault"])
+        assert res.code == 1
+        verdicts = [line.split(" (")[0].split("  ") for line in res.stdout.splitlines()]
+        assert verdicts == [
+            ["FAIL", "three-way pi agreement"],
+            ["FAIL", "telescoping D identity"],
+            ["PASS", "crank marginals equal p(n)"],
+            ["FAIL", "pi symmetry"],
+            ["PASS", "crank expansion paths agree"],
+            ["PASS", "combinatorial crank counts"],
+        ]
+        assert res.stderr == "3 check(s) failed\n"
 
     def test_injected_fault_fails(self, run_cli):
         res = run_cli(["verify", "--box", "5", "--inject-fault"])

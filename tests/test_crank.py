@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from steadyparts.crank import (
@@ -131,15 +133,25 @@ class TestCombinatorial:
 
     def test_enumeration_matches_table(self, table100):
         # generating-function convention: rows agree for n >= 2 but not n = 1
+        counts = crank_counts_by_enumeration(30)
+        assert len(counts) == 31
         for n in range(2, 31):
-            counts = crank_counts_by_enumeration(n)
             for m in range(-n, n + 1):
-                assert counts.get(m, 0) == table100[m][n], (m, n)
+                assert counts[n].get(m, 0) == table100[m][n], (m, n)
 
     def test_n1_row_differs_by_convention(self, table100):
-        counts = crank_counts_by_enumeration(1)
-        assert counts == {-1: 1}
+        assert crank_counts_by_enumeration(1)[1] == {-1: 1}
         assert table100[0][1] == -1  # GF coefficient, not a count
+
+    @pytest.mark.parametrize("N", [0, 1, 25])
+    def test_one_walk_matches_each_order_alone(self, p200, N):
+        # the partitions of n < N come from peeling ones off those of N;
+        # crank_of over each order's own walk is the definition-level oracle
+        counts = crank_counts_by_enumeration(N)
+        assert len(counts) == N + 1
+        for n in range(N + 1):
+            assert counts[n] == Counter(map(crank_of, partitions_of(n))), n
+            assert sum(counts[n].values()) == p200.coeff(n), n
 
 
 class TestEquidistribution:
