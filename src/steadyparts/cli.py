@@ -23,11 +23,11 @@ import signal
 import sys
 import threading
 
-# json and concurrent.futures (which pulls in logging) are imported where
-# --format json and --threads > 1 need them, to keep them out of start-up.
-# Every steadyparts module is imported here, eagerly: bench/tracer.py wraps
-# the layer functions of the package modules loaded with this one, so a
-# lazily imported package module would drop out of the trace.
+# json is imported where --format json needs it, to keep it out of start-up.
+# Every steadyparts module is imported here, eagerly: bench/tracer.py takes
+# its snapshot of the package's modules right after `import steadyparts.cli`
+# and wraps the layer functions it finds there, so a package module imported
+# later, inside a command, would never be traced.
 from .asymptotics import C, asym_D, asym_pi
 from .bipartite import (
     PRODUCT_CAP,
@@ -119,45 +119,34 @@ def _fail_guard(reason: str):
     sys.exit(2)
 
 
-def _table1_rows(l_values, threads, guard):
+def _table1_rows(l_values, guard):
     # both cells of a row have min(m, n) = L^2
     mu_max = max(L * L for L in l_values)
     guard.require_table(mu_max, G_GROWTH)
     G = build_g_table(mu_max)
 
-    cells = []
+    # the cells run in order on this thread, whatever --threads says: the
+    # big-integer loops hold the GIL, so worker threads only add start-up
+    rows = []
     for L in sorted(l_values):
-        cells.append((L, L * L, L * L))
-        cells.append((L, L * L, L * L + L))
-
-    def one(cell):
-        L, m, n = cell
-        v = pi_value(m, n, G)
-        a = asym_pi(m, n)
-        return {
-            "L": L,
-            "m": m,
-            "n": n,
-            "pi_exact": str(v),
-            "pi_sci": sci_from_int(v),
-            "A_sci": sci_from_log(a),
-            "ratio": ratio_string(math.log(v), a),
-        }
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, cells))
-    else:
-        rows = [one(cell) for cell in cells]
-    rows.sort(key=lambda r: (r["L"], r["n"]))
+        for m, n in ((L * L, L * L), (L * L, L * L + L)):
+            v = pi_value(m, n, G)
+            a = asym_pi(m, n)
+            rows.append({
+                "L": L,
+                "m": m,
+                "n": n,
+                "pi_exact": str(v),
+                "pi_sci": sci_from_int(v),
+                "A_sci": sci_from_log(a),
+                "ratio": ratio_string(math.log(v), a),
+            })
     return rows
 
 
 def table1(args, guard):
     """Exact vs. asymptotic values of pi on and near the diagonal."""
-    rows = _table1_rows(args.l_values, args.threads, guard)
+    rows = _table1_rows(args.l_values, guard)
     if args.fmt == "csv":
         print("L,pi,A,ratio")
         for r in rows:
@@ -358,7 +347,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact bipartite partition counts and their uniform asymptotics.",
         allow_abbrev=False,
     )
-    parser.add_argument("--threads", type=_int_range(1), default=1, help="worker threads for per-cell computation")
+    parser.add_argument("--threads", type=_int_range(1), default=1,
+                        help="accepted for compatibility; table1 runs its cells on one thread")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
     def command(run):

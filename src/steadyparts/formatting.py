@@ -7,20 +7,31 @@ natural logs (floats) are converted through base-10 mantissa/exponent form.
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, ROUND_HALF_EVEN
 
 _LN10 = math.log(10.0)
+_LOG10_2 = math.log10(2.0)
 
 
 def sci_from_int(v: int, sig: int = 6) -> str:
     """'2.02082e13'-style string for a positive integer, round-half-even."""
     if v <= 0:
         raise ValueError("sci_from_int takes a positive integer")
-    ctx = Context(prec=sig, rounding=ROUND_HALF_EVEN)
-    d = ctx.plus(Decimal(v))
-    t = d.as_tuple()
-    digits = "".join(map(str, t.digits)).ljust(sig, "0")
-    exp10 = t.exponent + len(t.digits) - 1
+    # 2^(b-1) <= v < 2^b puts floor(log10 v) at floor((b-1) log10 2) or one more
+    exp10 = int((v.bit_length() - 1) * _LOG10_2)
+    if v >= 10 ** (exp10 + 1):
+        exp10 += 1
+    cut = exp10 + 1 - sig  # digits dropped
+    if cut <= 0:
+        head = v * 10 ** -cut
+    else:
+        unit = 10 ** cut
+        head, rest = divmod(v, unit)
+        if 2 * rest > unit or (2 * rest == unit and head & 1):
+            head += 1
+            if head == 10 ** sig:  # 9999995 -> 1.00000e7
+                head //= 10
+                exp10 += 1
+    digits = str(head)
     return f"{digits[0]}.{digits[1:]}e{exp10}"
 
 

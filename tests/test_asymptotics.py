@@ -1,6 +1,9 @@
+import decimal
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steadyparts.asymptotics import (
     C,
@@ -26,6 +29,28 @@ def p5000():
 @pytest.fixture(scope="module")
 def c2000():
     return build_c_table(2000)
+
+
+def sci_reference(v: int, sig: int) -> str:
+    """sci_from_int through decimal's round-half-even context, as the
+    formatter once computed it."""
+    ctx = decimal.Context(prec=sig, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX)
+    t = ctx.plus(decimal.Decimal(v)).as_tuple()
+    digits = "".join(map(str, t.digits)).ljust(sig, "0")
+    return f"{digits[0]}.{digits[1:]}e{t.exponent + len(t.digits) - 1}"
+
+
+@st.composite
+def int_and_sig(draw):
+    """(v, sig): any integer below 10^700, or one at, or one off, a
+    round-half tie at sig digits, whose head may be all nines (a carry)."""
+    sig = draw(st.integers(min_value=1, max_value=10))
+    kind = draw(st.sampled_from(("any", "tie", "carry")))
+    if kind == "any":
+        return draw(st.integers(min_value=1, max_value=10 ** 700 - 1)), sig
+    head = 10 ** sig - 1 if kind == "carry" else draw(st.integers(10 ** (sig - 1), 10 ** sig - 1))
+    k = draw(st.integers(min_value=0, max_value=690))
+    return (10 * head + 5) * 10 ** k + draw(st.sampled_from((-1, 0, 1))), sig
 
 
 def ratio(exact: int, approx: float) -> float:
@@ -183,6 +208,28 @@ class TestFormatting:
     def test_round_half_even(self):
         assert sci_from_int(1000005) == "1.00000e6"
         assert sci_from_int(1000015) == "1.00002e6"
+        assert sci_from_int(9999995) == "1.00000e7"  # the carry reaches a new digit
+        assert sci_from_int(9999995 * 10 ** 600) == "1.00000e607"
+
+    @given(int_and_sig())
+    @settings(max_examples=200, deadline=None)
+    @example((1234565, 6))
+    @example((1234565 * 10 ** 50, 6))
+    @example((1234575 * 10 ** 50, 6))
+    @example((9999995, 6))
+    @example((9999995 * 10 ** 600, 6))
+    @example((9999994999, 6))
+    @example((95, 1))
+    @example((10 ** 699, 10))
+    def test_sci_from_int_matches_decimal(self, case):
+        v, sig = case
+        assert sci_from_int(v, sig) == sci_reference(v, sig)
+
+    def test_sci_past_the_str_digit_limit(self):
+        # str() of an int past 4300 digits raises; the formatter never calls it
+        v = 3 * 10 ** 5001 + 7
+        assert sci_from_int(v) == "3.00000e5001"
+        assert sci_from_int(2 ** 20000 - 1) == sci_reference(2 ** 20000 - 1, 6)
 
     def test_sci_from_log_rollover(self):
         assert sci_from_log(math.log(9.999999e9)) == "1.00000e10"

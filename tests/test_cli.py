@@ -44,9 +44,31 @@ class TestTable1:
         assert res.stdout == ""
 
     def test_determinism_across_threads(self, run_cli):
-        a = run_cli(["--threads", "1", "table1", "--L", "10", "--format", "json"])
-        b = run_cli(["--threads", "8", "table1", "--L", "10", "--format", "json"])
-        assert a.stdout == b.stdout
+        # 4 cells, 8 threads asked for
+        for fmt in ("text", "csv", "json"):
+            a = run_cli(["--threads", "1", "table1", "--L", "10,40", "--format", fmt])
+            b = run_cli(["--threads", "8", "table1", "--L", "10,40", "--format", fmt])
+            assert a.code == b.code == 0
+            assert a.stdout == b.stdout
+
+    def test_cell_fault_reads_the_same_on_any_thread_count(self, run_cli, monkeypatch):
+        from steadyparts import cli as cli_module
+
+        real = cli_module.pi_value
+
+        def faulty(m, n, G):
+            if m >= 1600:  # every cell from L = 40 on
+                raise ArithmeticError(f"cell ({m}, {n})")
+            return real(m, n, G)
+
+        monkeypatch.setattr(cli_module, "pi_value", faulty)
+        raised = {}
+        for threads in ("1", "2", "8"):
+            with pytest.raises(ArithmeticError) as info:
+                run_cli(["--threads", threads, "table1", "--L", "10,40,70"])
+            raised[threads] = str(info.value)
+        # the first failing cell in order, whatever the thread count
+        assert raised == dict.fromkeys(("1", "2", "8"), "cell (1600, 1600)")
 
     def test_time_guard(self, run_cli, monkeypatch):
         monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0")
@@ -280,13 +302,48 @@ class TestProcess:
         assert proc.wait(timeout=60) == 1
         assert err == b""
 
-    def test_imports_only_the_stdlib(self):
-        # -S leaves site-packages off the path, so only the package's own
-        # imports and the stdlib can load
-        probe = "import sys, steadyparts.cli; print(' '.join(sys.modules))"
+    def modules_after(self, probe: str) -> set:
+        """The names in sys.modules after `probe` runs in a fresh interpreter.
+        -S leaves site-packages off the path, so only the package's own
+        imports and the stdlib can load."""
+        probe += "\nprint(' '.join(sys.modules))"
         out = subprocess.run(
             [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=self.env(), check=True,
-        ).stdout.split()
+        ).stdout
+        return set(out.splitlines()[-1].split())
+
+    def test_imports_only_the_stdlib(self):
+        out = self.modules_after("import sys, steadyparts.cli")
         assert "steadyparts.cli" in out
-        for name in ("click", "typing", "json", "concurrent.futures", "logging"):
+        for name in ("click", "typing", "json", "concurrent.futures", "logging", "decimal"):
             assert name not in out
+
+    def test_threads_load_no_pool(self):
+        out = self.modules_after(
+            "import sys\nfrom steadyparts.cli import cli\ncli(['--threads', '2', 'table1', '--L', '10'])"
+        )
+        assert "steadyparts.cli" in out
+        assert "concurrent.futures" not in out
+        assert "logging" not in out
+
+    def test_imports_every_package_module(self):
+        # bench/tracer.py wraps only the package modules loaded by this import
+        files = Path(SRC, "steadyparts").glob("*.py")
+        package = {f"steadyparts.{path.stem}" for path in files if path.stem != "__init__"}
+        assert package
+        assert package <= self.modules_after("import sys, steadyparts.cli")
+
+    def test_time_budget_aborts_a_stuck_cell(self):
+        # every cell blocks for good: the timer must still end the process
+        probe = (
+            "import threading\nfrom steadyparts import cli\n"
+            "cli.pi_value = lambda m, n, G: threading.Event().wait()\n"
+            "cli.cli(['--threads', '2', 'table1', '--L', '10'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+            env={**self.env(), "STEADYPARTS_TIME_LIMIT_S": "0.2"},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "aborted: time budget of 0.2s exceeded\n"
+        assert proc.stdout == ""
