@@ -114,9 +114,31 @@ def table_bytes(N: int, growth: float) -> int:
     return math.ceil(44 * (N + 1) + bits / 7.5)
 
 
+def _to_devnull(stream):
+    # as the Python docs advise for a closed pipe: point a stream that cannot
+    # be written at devnull, so that the flush at exit cannot fail again
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _stderr_line(line: str):
+    """Write one line to stderr.  Write nothing when stderr is closed, where
+    print would fall back to stdout, or when it cannot be written: the exit
+    status still tells."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            _to_devnull(sys.stderr)
+
+
 def _fail_guard(reason: str):
-    print(f"aborted: {reason}", file=sys.stderr)
+    _stderr_line(f"aborted: {reason}")
     sys.exit(2)
+
+
+def _cannot_write(reason: str):
+    _stderr_line(f"error: cannot write output: {reason}")
+    sys.exit(1)
 
 
 def _table1_rows(l_values, guard):
@@ -280,7 +302,7 @@ def verify(args, guard):
             failures += 1
     if failures:
         sys.stdout.flush()  # the report comes before the verdict when both streams share a file
-        print(f"{failures} check(s) failed", file=sys.stderr)
+        _stderr_line(f"{failures} check(s) failed")
         sys.exit(1)
     print("all checks passed")
 
@@ -389,27 +411,62 @@ def _parser() -> argparse.ArgumentParser:
 
 def cli(args: list[str] | None = None) -> None:
     """Parse `args` (default: sys.argv[1:]) and run one command under one
-    ResourceGuard.
+    ResourceGuard.  On return the command's output is flushed.
 
-    Exit status: 0 on success; 1 when verify finds a failure or the reader
-    closes stdout early; 2 on a usage error (usage on stderr) or a guard
-    abort (one `aborted: ...` line on stderr).
+    Exit status: 0 on success; 1 when verify finds a failure, when the
+    reader closes stdout early (quietly) or when stdout cannot be written
+    (one `error: cannot write output: ...` line on stderr); 2 on a usage
+    error (usage on stderr) or a guard abort (one `aborted: ...` line on
+    stderr).
     """
     ns = _parser().parse_args(args)
+    if sys.stdout is None:  # fd 1 was closed before the interpreter started
+        _cannot_write("stdout is closed")
     try:
         with ResourceGuard() as guard:
             ns.run(ns, guard)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early (`| head`); as the Python docs advise,
-        # point stdout at devnull so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    except OSError as exc:
+        _to_devnull(sys.stdout)
+        if isinstance(exc, BrokenPipeError):
+            sys.exit(1)  # the reader closed stdout early (`| head`)
+        _cannot_write(exc.strerror or str(exc))
 
 
 # click's Group.main signature, through which bench/tracer.py calls the CLI
 cli.main = lambda args=None, prog_name=None, obj=None: cli(args)
 
 
-if __name__ == "__main__":
+def _watched() -> bool:
+    """Whether a tracer, profiler or debugger is hooked into this process.
+    pdb drops its trace function on `continue` when no breakpoint is set,
+    so a loaded bdb (pdb's base) counts too.  From Python 3.12, cProfile
+    and coverage may hook in through sys.monitoring rather than
+    sys.setprofile or sys.settrace."""
+    if sys.gettrace() is not None or sys.getprofile() is not None or "bdb" in sys.modules:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+
+
+def main() -> None:
+    """The process entry point, for `python -m steadyparts.cli` and the
+    `steadyparts` script.
+
+    Once cli() returns, the command has succeeded and its output is
+    flushed, so the process ends at once with status 0.  That skips the
+    interpreter's teardown, which frees every loaded module and object one
+    by one and costs several ms per process.  Under a tracer or profiler
+    (coverage, cProfile, pdb, `python -m trace`) the process exits
+    normally, so that their exit hooks still run; so does every failure,
+    through SystemExit.
+    """
     cli()
+    if not _watched():
+        if sys.stderr is not None:
+            sys.stderr.flush()
+        os._exit(0)
+
+
+if __name__ == "__main__":
+    main()

@@ -53,8 +53,8 @@ def g_big():
 
 @pytest.fixture(scope="module")
 def g_stretch():
-    """G to 40000, enough for the Table 1 rows up to L = 200."""
-    return build_g_table(40000)
+    """G to 90300, enough for the Table 1 rows up to L = 300."""
+    return build_g_table(90300)
 
 
 def report(criterion, ok, detail=""):
@@ -88,6 +88,7 @@ def test_criterion_1_stretch_rows(g_stretch):
         70: ("2.99238e116", "0.9919", "5.25671e116", "0.9859"),
         100: ("7.15231e168", "0.9943", "1.25872e169", "0.9901"),
         200: ("1.23831e344", "0.9971", "2.18391e344", "0.9950"),
+        300: ("5.07222e519", "0.9981", "8.95183e519", "0.9967"),
     }
     ok = True
     details = []
@@ -102,7 +103,7 @@ def test_criterion_1_stretch_rows(g_stretch):
         )
         details.append(f"L={L}: {got}")
         ok = ok and got == (diag_sci, diag_ratio, off_sci, off_ratio)
-    report("1s. Table 1 stretch rows (L=70,100,200)", ok, "; ".join(details))
+    report("1s. Table 1 stretch rows (L=70,100,200,300)", ok, "; ".join(details))
 
 
 def test_criterion_2_table1_off_diagonal(g_big):

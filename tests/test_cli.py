@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -13,6 +14,7 @@ from steadyparts.cli import G_GROWTH, asym, compute, crank_row, table1, table_by
 from steadyparts.partitions import build_g_table
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 
 
 class TestTable1:
@@ -286,7 +288,92 @@ class TestProcess:
 
     @staticmethod
     def env():
-        return {**os.environ, "PYTHONPATH": SRC}
+        # without PYTHONUNBUFFERED, stdout is block-buffered as a shell runs
+        # it, so output still in the buffer at exit would show up as missing
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    def run_module(self, *args, env=None, prefix=(), **streams):
+        """`python [prefix] -m steadyparts.cli args` run to the end, through
+        the process entry point.  stdout and stderr come back as bytes
+        unless `streams` points them elsewhere; it may also give `input`."""
+        return subprocess.run(
+            [sys.executable, *prefix, "-m", "steadyparts.cli", *args],
+            timeout=60, env={**self.env(), **(env or {})},
+            **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
+        )
+
+    def test_success_writes_the_in_process_bytes(self, run_cli):
+        args = ["table1", "--L", "10,40", "--format", "json"]
+        proc = self.run_module(*args)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout == run_cli(args).stdout.encode()
+
+    def test_long_output_arrives_whole(self):
+        proc = self.run_module("crank-row", "--n", "3000")
+        lines = proc.stdout.decode().splitlines()
+        assert proc.returncode == 0
+        assert len(lines) == 6001
+        assert lines[-1] == "M(3000,3000) = 1"
+
+    def test_verify_failure_exits_1(self):
+        proc = self.run_module("verify", "--inject-fault")
+        assert proc.returncode == 1
+        assert proc.stderr == b"3 check(s) failed\n"
+
+    def test_guard_abort_exits_2(self):
+        proc = self.run_module("asym", "--m", "1", "--n", "1", env={"STEADYPARTS_TIME_LIMIT_S": "0"})
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"aborted: time budget of 0s exceeded\n"
+
+    def test_usage_error_exits_2(self):
+        proc = self.run_module("table1", "--L", "ten")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"usage: steadyparts table1")
+        assert b"cannot parse L list 'ten'" in proc.stderr
+
+    def test_profiler_still_reports(self):
+        # a profiler's report is written at exit, which a success must not skip
+        proc = self.run_module("asym", "--m", "100", "--n", "100", prefix=("-m", "cProfile"))
+        out = proc.stdout.decode()
+        assert proc.returncode == 0
+        assert out.startswith("asym_pi(100,100) = 2.14152e13\nasym_D(100,100)  = 2.17138e12\n")
+        assert " function calls " in out
+
+    def test_debugger_session_goes_on(self):
+        # pdb removes its trace function on `continue`, then restarts the
+        # program once it finishes
+        proc = self.run_module("asym", "--m", "1", "--n", "1", prefix=("-m", "pdb"), input=b"continue\nquit\n")
+        assert proc.returncode == 0
+        assert b"asym_pi(1,1) = 3.00678e0\n" in proc.stdout
+        assert b"The program finished and will be restarted" in proc.stdout
+
+    def test_closed_fd_1_exits_1_with_one_line(self):
+        # the shell starts the child with fd 1 closed, so sys.stdout is None
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m steadyparts.cli asym --m 1 --n 1 >&-', sys.executable],
+            stderr=subprocess.PIPE, timeout=60, env=self.env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: cannot write output: stdout is closed\n"
+
+    @needs_dev_full
+    def test_full_device_exits_1_with_one_line(self):
+        with open("/dev/full", "wb") as full:
+            proc = self.run_module("asym", "--m", "1", "--n", "1", stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+
+    @needs_dev_full
+    def test_guard_abort_exits_2_when_stderr_cannot_be_written(self):
+        with open("/dev/full", "wb") as full:
+            proc = self.run_module("asym", "--m", "1", "--n", "1", env={"STEADYPARTS_TIME_LIMIT_S": "0"}, stderr=full)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
 
     def test_closed_stdout_exits_1_quietly(self):
         # 6001 lines, far more than a pipe buffers: the writes after the
