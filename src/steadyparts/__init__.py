@@ -15,7 +15,6 @@ from .bipartite import (
     alpha_row,
     d_value,
     d_value_by_crank,
-    d_value_by_difference,
     enumerate_steady,
     gf_table,
     is_steady,
@@ -37,10 +36,8 @@ from .partitions import (
     build_c_table,
     build_g_table,
     build_p_table,
-    c_values_via_convolution,
     c_values_via_inversion,
     g_values_via_chain,
-    p_values_via_inversion,
 )
 from .series import (
     CoefficientTable,
@@ -49,6 +46,7 @@ from .series import (
     euler_product,
     invert,
     mul,
+    theta_coefficient,
 )
 
 __version__ = "0.1.0"

@@ -3,11 +3,13 @@
 The fast path is one table plus one short sum per cell.  Swapping the order
 of summation in the paper's convolutions writes every cell as an alternating
 sum of O(sqrt(mu)) coefficients of G = c * p, the series
-1/((q;q)^2 (q^2;q^2)) that ``partitions.build_g_table`` builds:
+1/((q;q)^2 (q^2;q^2)) that ``partitions.build_g_table`` builds.  That sum is
+``series.theta_coefficient`` K(k, s) over G:
 
-* ``pi_value``  -- pi(m, n) = sum_l (-1)^l G(mu - l(l+1)/2 - l s);
-* ``d_value``   -- the first difference D(m, n) = pi(m, n) - pi(m-1, n), from
-                   the crank identity with ``crank_column``'s closed form put in.
+* ``pi_value``  -- pi(m, n) = K(mu, s), mu = min(m, n), s = |m - n|;
+* ``d_value``   -- the first difference D(m, n) = pi(m, n) - pi(m-1, n) as
+                   K(L, b) - K(L - 1, b + 1), from the crank identity with
+                   ``crank_value_direct``'s closed form put in.
 
 Independent routes are kept as oracles, for the tests and ``verify`` only:
 
@@ -15,7 +17,6 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
                                row ``alpha_row(s, K, p)`` the caller builds;
 * ``d_value_by_crank``      -- D through the crank convolution c * M, one sum
                                against a slice of one crank row;
-* ``d_value_by_difference`` -- D as a difference of two c/alpha values;
 * ``gf_table``              -- direct box expansion of the Carlitz generating
                                function 1/((x;xy)(x^2y^2;x^2y^2)(y;xy));
 * ``enumerate_steady``      -- the number of part-pair sequences satisfying
@@ -32,12 +33,12 @@ from collections.abc import Sequence
 from functools import cache
 from operator import add, mul, sub
 
-from .series import CoefficientTable
+from .series import CoefficientTable, theta_coefficient
 
 
 def pi_value(m: int, n: int, G: CoefficientTable) -> int:
     """pi(m, n) = sum_{l >= 0} (-1)^l G(mu - l(l+1)/2 - l s), with
-    mu = min(m, n) and s = |m - n|.
+    mu = min(m, n) and s = |m - n|: ``theta_coefficient`` over G.
 
     This is the c/alpha convolution with its two sums swapped: the inner sum
     over k of c(mu - k) p(k - l(l+1)/2 - l s) is one coefficient of G = c * p.
@@ -45,43 +46,30 @@ def pi_value(m: int, n: int, G: CoefficientTable) -> int:
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
     mu = min(m, n)
-    s = abs(m - n)
     if G.max_index < mu:
         raise IndexError("G table too short for pi_value")
-    g = G.values()
-    total = 0
-    l = 0
-    while (k := mu - l * (l + 1) // 2 - l * s) >= 0:
-        total += -g[k] if l % 2 else g[k]
-        l += 1
-    return total
+    return theta_coefficient(G.values(), mu, abs(m - n))
 
 
 def d_value(m: int, n: int, G: CoefficientTable) -> int:
     """D(m, n) with L = min(m, 2n - m) and b = n - L:
 
         D(m,n) = sum_{k >= 1} (-1)^(k-1) [G(L - k(k-1)/2 - b(k-1))
-                                         - G(L - k(k+1)/2 - b(k-1))],
+                                         - G(L - k(k+1)/2 - b(k-1))]
+               = K(L, b) - K(L - 1, b + 1),
 
-    and D(m,n) = 0 outright when m > 2n.  This is ``d_value_by_crank`` with
-    ``crank_column``'s closed form for M(b, .) put in and the sums swapped.
+    with K = ``theta_coefficient`` over G; L < 0, so D = 0, when m > 2n.
+    This is ``d_value_by_crank`` with ``crank_value_direct``'s closed form
+    for M(b, .) put in and the sums swapped.
     """
     if m < 0 or n < 0:
         raise ValueError("d_value takes nonnegative arguments")
-    if m > 2 * n:
-        return 0
     L = min(2 * n - m, m)
     if G.max_index < L:
         raise IndexError("G table too short for d_value")
     b = n - L
     g = G.values()
-    total = 0
-    k = 1
-    while (hi := L - k * (k - 1) // 2 - b * (k - 1)) >= 0:
-        term = g[hi] - g[hi - k] if hi >= k else g[hi]
-        total += term if k % 2 else -term
-        k += 1
-    return total
+    return theta_coefficient(g, L, b) - theta_coefficient(g, L - 1, b + 1)
 
 
 def alpha_row(s: int, K: int, p_table: CoefficientTable) -> tuple:
@@ -144,14 +132,6 @@ def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
         raise IndexError("crank table too short for d_value_by_crank")
     c = c_table.values()
     return sum(map(mul, c[L::-1], row[base:n + 1]))
-
-
-def d_value_by_difference(m: int, n: int, c_table: CoefficientTable, alpha) -> int:
-    """Oracle for D(m, n): pi(m,n) - pi(m-1,n) by the c/alpha convolution over
-    the rows `alpha`, with pi(-1,n) = 0."""
-    hi = pi_value_by_alpha(m, n, c_table, alpha)
-    lo = 0 if m == 0 else pi_value_by_alpha(m - 1, n, c_table, alpha)
-    return hi - lo
 
 
 def is_steady(parts: Sequence[tuple[int, int]]) -> bool:

@@ -97,7 +97,10 @@ class ResourceGuard:
             signal.signal(signal.SIGALRM, self._previous)
 
     def require_table(self, N: int, growth: float):
-        need = table_bytes(N, growth)
+        try:
+            need = table_bytes(N, growth)
+        except OverflowError:  # N past a float's range: no budget holds it
+            _fail_guard(f"request needs a table too large to size, budget is {self.mem_limit_bytes}")
         if need > self.mem_limit_bytes:
             _fail_guard(
                 f"request needs ~{need} bytes of table storage, "
@@ -139,6 +142,16 @@ def _fail_guard(reason: str):
 def _cannot_write(reason: str):
     _stderr_line(f"error: cannot write output: {reason}")
     sys.exit(1)
+
+
+def _asym_pi(m: int, n: int) -> float:
+    """asym_pi(m, n), or a clean abort when m or n is past a float's range
+    (about 1.8e308), which the formula's floats cannot take.  asym_D, called
+    after it on the same cell, reads no larger ints."""
+    try:
+        return asym_pi(m, n)
+    except OverflowError:
+        _fail_guard("the asymptotic formulas take m and n up to about 1.8e308")
 
 
 def _table1_rows(l_values, guard):
@@ -195,9 +208,9 @@ def compute(args, guard):
     guard.require_table(mu, G_GROWTH)
     G = build_g_table(mu)
     v = pi_value(m, n, G)
+    a = _asym_pi(m, n) if v > 0 and mu >= 1 else None
     print(f"pi({m},{n}) = {v}")
-    if v > 0 and mu >= 1:
-        a = asym_pi(m, n)
+    if a is not None:
         print(
             f"  sci = {sci_from_int(v)}   asym = {sci_from_log(a)}"
             f"   ratio = {ratio_string(math.log(v), a)}"
@@ -329,7 +342,7 @@ def crank_row(args, guard):
 def asym(args, guard):
     """Asymptotic main terms for pi(m,n) and D(m,n)."""
     m, n = args.m, args.n
-    print(f"asym_pi({m},{n}) = {sci_from_log(asym_pi(m, n))}")
+    print(f"asym_pi({m},{n}) = {sci_from_log(_asym_pi(m, n))}")
     if 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
         print(f"asym_D({m},{n})  = {sci_from_log(asym_D(m, n))}")
     else:

@@ -17,8 +17,11 @@ produce the same numbers and are compared in the tests:
                                     same generating function;
 * ``crank_column``               -- a closed form in p(n) for one fixed crank
                                     value, obtained by expanding the Lambert
-                                    sum geometrically; this is the only route
-                                    that scales to q-orders in the thousands.
+                                    sum geometrically; each value
+                                    (``crank_value_direct``) is a difference
+                                    of two ``series.theta_coefficient`` sums
+                                    over p; this is the only route that
+                                    scales to q-orders in the thousands.
 
 Note the generating-function convention at n = 1: M(0,1) = -1 and
 M(+-1,1) = 1, which differ from the combinatorial counts.  The tests pin
@@ -32,7 +35,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from operator import neg, sub
 
-from .series import CoefficientTable, divide_by_euler, euler_product, invert, mul
+from .series import CoefficientTable, divide_by_euler, euler_product, invert, mul, theta_coefficient
 
 
 def build_crank_table(N: int) -> tuple:
@@ -126,26 +129,18 @@ def crank_value_direct(m: int, n: int, p_table: CoefficientTable) -> int:
     """Single M(m, n) from the closed form
 
         M(m, n) = sum_{k >= 1} (-1)^{k-1}
-                  [ p(n - k(k-1)/2 - |m| k) - p(n - k(k+1)/2 - |m| k) ],
+                  [ p(n - k(k-1)/2 - |m| k) - p(n - k(k+1)/2 - |m| k) ]
+                = K(n - |m|, |m|) - K(n - |m| - 1, |m| + 1),
 
-    which follows from the Lambert form by extracting the zeta^m coefficient;
-    O(sqrt(n)) p-lookups.
+    with K = ``series.theta_coefficient`` over p, which follows from the
+    Lambert form by extracting the zeta^m coefficient; O(sqrt(n))
+    p-lookups, and M = 0 for |m| > n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = abs(m)
-    if m > n:
-        return 0
-    total = 0
-    k = 1
-    while k * (k - 1) // 2 + m * k <= n:
-        sign = 1 if k % 2 else -1
-        total += sign * (
-            p_table.coeff(n - k * (k - 1) // 2 - m * k)
-            - p_table.coeff(n - k * (k + 1) // 2 - m * k)
-        )
-        k += 1
-    return total
+    p = p_table.values()
+    return theta_coefficient(p, n - m, m) - theta_coefficient(p, n - m - 1, m + 1)
 
 
 def partitions_of(n: int) -> Iterator[tuple]:

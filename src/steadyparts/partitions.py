@@ -14,14 +14,12 @@ pentagonal divisions.
 
 Independent routes are kept as oracles for the tests: the chain
 p -> c = p/(q^2;q^2) -> G = c/(q;q) of pentagonal divisions
-(``build_c_table``, ``g_values_via_chain``), dense series inversion for p and
-c (``verify`` uses the one for c), and the convolution
-c(n) = sum p(n - 2b) p(b).
+(``build_c_table``, ``g_values_via_chain``), and dense series inversion for
+c (``c_values_via_inversion``, which ``verify`` uses).  p is checked against
+Euler's identity (q;q)_inf * P(q) = 1 through ``series.mul``.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
 
@@ -31,11 +29,6 @@ def build_p_table(N: int) -> CoefficientTable:
     if N < 0:
         raise ValueError("N must be nonnegative")
     return CoefficientTable(divide_by_euler([1] + [0] * N))
-
-
-def p_values_via_inversion(N: int) -> CoefficientTable:
-    """Independent path: coefficients of 1/(q;q)_infinity via series inversion."""
-    return invert(euler_product(1, N))
 
 
 def build_c_table(N: int) -> CoefficientTable:
@@ -78,12 +71,3 @@ def g_values_via_chain(N: int) -> CoefficientTable:
 def c_values_via_inversion(N: int) -> CoefficientTable:
     """Independent path: invert the dense product (q;q)_inf (q^2;q^2)_inf."""
     return invert(mul(euler_product(1, N), euler_product(2, N)))
-
-
-def c_values_via_convolution(N: int, p_table: CoefficientTable) -> tuple:
-    """Independent path: c(n) = sum over 2b <= n of p(n - 2b) p(b)."""
-    if p_table.max_index < N:
-        raise IndexError("p table too short for the requested convolution")
-    p = p_table.values()
-    # p[n::-2] is p(n - 2b) for b = 0..n//2
-    return tuple(sum(map(operator.mul, p[n::-2], p[: n // 2 + 1])) for n in range(N + 1))

@@ -1,12 +1,16 @@
 """Truncated power series in q over Python's arbitrary-precision integers.
 
 ``CoefficientTable`` is a series truncated (inclusively) at a fixed order;
-every table in the package is one.  Two classical series have a sparse
-support: Euler's pentagonal number theorem puts the terms of (q^s;q^s)_inf at
-s times the generalized pentagonal numbers (enumerated once, by
-``_pentagonal_offsets``), and Gauss's identity
-phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf = sum_k (-1)^k q^(k^2) puts those of
-phi(-q) at the squares.  They feed two routes:
+every table in the package is one.  ``theta_coefficient`` is the fast
+path's one short sum per cell: a coefficient of a table times the partial
+theta series sum_l (-1)^l q^(l(l+1)/2 + l s), which gives pi and D over the
+G table and the crank counts M over the p table.
+
+Two classical series have a sparse support: Euler's pentagonal number
+theorem puts the terms of (q^s;q^s)_inf at s times the generalized
+pentagonal numbers (enumerated once, by ``_pentagonal_offsets``), and
+Gauss's identity phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf = sum_k (-1)^k q^(k^2)
+puts those of phi(-q) at the squares.  They feed two routes:
 
 * ``divide_by_euler`` and ``divide_by_phi`` -- sparse division by
   (q^s;q^s)_inf and by phi(-q), in place, both through one loop over
@@ -50,6 +54,22 @@ class CoefficientTable:
 
     def values(self) -> tuple:
         return self.coeffs
+
+
+def theta_coefficient(values, k: int, s: int) -> int:
+    """K(k, s) = sum_{l >= 0} (-1)^l t(k - l(l+1)/2 - l s), the coefficient
+    of q^k in t(q) * sum_{l >= 0} (-1)^l q^(l(l+1)/2 + l s), where t(n) is
+    values[n] for 0 <= n <= k.  K(k < 0, s) = 0.
+
+    O(sqrt(k)) terms for s >= 0: the offset of term l grows by l + s.
+    """
+    total = 0
+    l = 0
+    while k >= 0:
+        total += -values[k] if l % 2 else values[k]
+        l += 1
+        k -= l + s
+    return total
 
 
 def _pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:

@@ -20,7 +20,6 @@ from steadyparts.bipartite import (
     alpha_row,
     d_value,
     d_value_by_crank,
-    d_value_by_difference,
     enumerate_steady,
     gf_table,
     pi_value,
@@ -142,7 +141,8 @@ def test_criterion_4_difference_identity(p_big, c_big, g_big):
             cells += 1
             via_g = d_value(m, n, g_big)
             via_crank = d_value_by_crank(m, n, c_big, crank)
-            via_diff = d_value_by_difference(m, n, c_big, alpha)
+            below = pi_value_by_alpha(m - 1, n, c_big, alpha) if m else 0
+            via_diff = pi_value_by_alpha(m, n, c_big, alpha) - below
             if not via_g == via_crank == via_diff:
                 bad += 1
             if m > 2 * n and via_g != 0:

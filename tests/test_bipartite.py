@@ -12,7 +12,6 @@ from steadyparts.bipartite import (
     alpha_row,
     d_value,
     d_value_by_crank,
-    d_value_by_difference,
     enumerate_steady,
     gf_table,
     is_steady,
@@ -22,7 +21,7 @@ from steadyparts.bipartite import (
 )
 from steadyparts.crank import build_crank_table, crank_column
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
-from steadyparts.series import CoefficientTable
+from steadyparts.series import CoefficientTable, theta_coefficient
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +64,14 @@ class TestAlpha:
             alpha_row(0, 11, build_p_table(10))
 
     def test_row_matches_definition(self, p_table):
+        # and the fast path's kernel, whose alpha(s, k) is K(k, s) over p
         p = p_table.coeff
         for s in range(6):
             row = alpha_row(s, 60, p_table)
             for k in range(61):
                 want = sum((-1) ** l * p(k - l * (l + 1) // 2 - l * s) for l in range(k + 1))
-                assert row[k] == want, (s, k)
+                assert row[k] == want == theta_coefficient(p_table.values(), k, s), (s, k)
+            assert theta_coefficient(p_table.values(), -1, s) == 0
 
     def test_rows_give_pi_on_a_box(self, c_table, g_table, p_table, alpha200):
         # rows built to K = 40 cover the 40 x 40 box; rows built to 200 are
@@ -212,10 +213,11 @@ class TestDValue:
         # the G path against both oracles on every cell with n <= 40, m <= 3n
         for n in range(41):
             for m in range(3 * n + 1):
+                below = pi_value_by_alpha(m - 1, n, c_table, alpha200) if m else 0
                 assert (
                     d_value(m, n, g_table)
                     == d_value_by_crank(m, n, c_table, crank60)
-                    == d_value_by_difference(m, n, c_table, alpha200)
+                    == pi_value_by_alpha(m, n, c_table, alpha200) - below
                 ), (m, n)
 
     def test_telescoping(self, g_table, c_table, alpha200, crank60):

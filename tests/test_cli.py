@@ -101,10 +101,17 @@ class TestCompute:
         assert "D(7,2) = 0" in res.stdout
         assert "m > 2n" in res.stdout
 
+    def test_offset_past_a_float_aborts_cleanly(self, run_cli):
+        # G to 5 is cheap, but the asymptotic formulas take m and n as floats
+        res = run_cli(["compute", "--m", str(10 ** 400), "--n", "5"])
+        assert res.code == 2
+        assert res.stdout == ""
+        assert res.stderr == "aborted: the asymptotic formulas take m and n up to about 1.8e308\n"
+
 
 class TestGuard:
-    """Every table-building command aborts cleanly: exit 2, a one-line
-    reason on stderr, no traceback."""
+    """Every oversized request aborts cleanly: exit 2, a one-line reason on
+    stderr, no traceback."""
 
     @pytest.mark.parametrize(
         "args",
@@ -112,6 +119,11 @@ class TestGuard:
             ["table1", "--L", "10"],
             ["compute", "--m", "100", "--n", "100"],
             ["crank-row", "--n", "10"],
+            # orders and arguments past a float's range
+            ["table1", "--L", str(10 ** 200)],
+            ["compute", "--m", str(10 ** 400), "--n", str(10 ** 400)],
+            ["crank-row", "--n", str(10 ** 400)],
+            ["asym", "--m", str(10 ** 400), "--n", "5"],
         ],
     )
     def test_memory_guard_aborts_cleanly(self, run_cli, monkeypatch, args):
@@ -119,6 +131,7 @@ class TestGuard:
         res = run_cli(args)
         assert res.code == 2  # a SystemExit: run_cli lets any other exception through
         assert res.stderr.startswith("aborted: ")
+        assert res.stderr.count("\n") == 1
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
 

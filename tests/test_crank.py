@@ -74,6 +74,19 @@ class TestBuild:
             for m in range(-n, n + 1):
                 assert crank_value_direct(m, n, p200) == table100[m][n]
 
+    def test_direct_values_at_order_1000(self):
+        # beyond the full tables' reach: the crank counts of the partitions
+        # of 1000 are nonnegative, sum to p(1000), and have second moment
+        # sum m^2 M(m, n) = 2n p(n) (Dyson 1989); M(-m, n) = M(m, n)
+        n = 1000
+        p = build_p_table(n)
+        row = {m: crank_value_direct(m, n, p) for m in range(-n - 1, n + 2)}
+        assert row[n + 1] == row[-n - 1] == 0
+        assert row[n] == row[-n] == 1
+        assert all(row[-m] == row[m] >= 0 for m in range(n + 1))
+        assert sum(row.values()) == p.coeff(n)
+        assert sum(m * m * v for m, v in row.items()) == 2 * n * p.coeff(n)
+
     def test_column_builder(self, table100, p200):
         for m in (0, 3, 5, -3, -5):
             assert crank_column(m, 100, p200) == table100[m]

@@ -6,10 +6,8 @@ from steadyparts.partitions import (
     build_c_table,
     build_g_table,
     build_p_table,
-    c_values_via_convolution,
     c_values_via_inversion,
     g_values_via_chain,
-    p_values_via_inversion,
 )
 from steadyparts.series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
 
@@ -39,11 +37,6 @@ def c2000_dense():
     return c_values_via_inversion(2000).values()
 
 
-@pytest.fixture(scope="module")
-def c2000_convolved(p2000):
-    return c_values_via_convolution(2000, p2000)
-
-
 class TestPartitionTable:
     def test_p0(self, p2000):
         assert p2000.coeff(0) == 1
@@ -66,8 +59,9 @@ class TestPartitionTable:
         for n in range(31):
             assert p2000.coeff(n) == count_partitions(n)
 
-    def test_recurrence_matches_inversion(self, p2000):
-        assert p2000.values() == p_values_via_inversion(2000).values()
+    def test_times_euler_product_is_one(self, p2000):
+        # Euler: (q;q)_inf * P(q) = 1, through the dense product
+        assert mul(euler_product(1, 2000), p2000).coeffs == (1,) + (0,) * 2000
 
 
 class TestCubicTable:
@@ -86,12 +80,8 @@ class TestCubicTable:
         for n in range(2, 2001):
             assert c2000.coeff(n) >= p2000.coeff(n)
 
-    def test_inversion_matches_convolution(self, c2000_dense, c2000_convolved):
-        assert c2000_dense == c2000_convolved
-
-    def test_sparse_division_matches_oracles(self, c2000, c2000_dense, c2000_convolved):
+    def test_sparse_division_matches_oracles(self, c2000, c2000_dense):
         assert c2000.values() == c2000_dense
-        assert c2000.values() == c2000_convolved
 
     def test_chan_congruence(self, c2000):
         # Chan (2010): c(3n + 2) == 0 (mod 3)
