@@ -11,38 +11,29 @@ Commands:
 
 A resource guard (default 8 GiB / 30 minutes, overridable through
 STEADYPARTS_TIME_LIMIT_S and STEADYPARTS_MEM_LIMIT_BYTES) aborts oversized
-requests cleanly.
+requests cleanly, and so does a MemoryError that gets past it.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import signal
 import sys
 import threading
+import types
 
 # json is imported where --format json needs it, to keep it out of start-up.
-# Every steadyparts module is imported here, eagerly: bench/tracer.py takes
-# its snapshot of the package's modules right after `import steadyparts.cli`
-# and wraps the layer functions it finds there, so a package module imported
-# later, inside a command, would never be traced.
+# The package's modules are compiled on first use (see steadyparts/__init__),
+# so bipartite, crank, partitions and series are imported as modules and
+# called through their attributes: `from .bipartite import pi_value` would
+# load bipartite here.  So asym loads none of the four, and compute and
+# table1 do not load crank.  bench/tracer.py still wraps their functions:
+# after `import steadyparts.cli` every module is in sys.modules, and the
+# tracer's read of each module's namespace loads it in place.
+from . import bipartite, crank, partitions, series
 from .asymptotics import C, asym_D, asym_pi
-from .bipartite import (
-    PRODUCT_CAP,
-    alpha_row,
-    d_value,
-    d_value_by_crank,
-    enumerate_steady,
-    gf_table,
-    pi_value,
-    pi_value_by_alpha,
-)
-from .crank import build_crank_table, crank_value_direct
 from .formatting import ratio_string, sci_from_int, sci_from_log
-from .partitions import build_g_table, build_p_table, c_values_via_inversion
-from .series import CoefficientTable
 
 DEFAULT_TIME_LIMIT_S = 30 * 60
 DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
@@ -158,14 +149,14 @@ def _table1_rows(l_values, guard):
     # both cells of a row have min(m, n) = L^2
     mu_max = max(L * L for L in l_values)
     guard.require_table(mu_max, G_GROWTH)
-    G = build_g_table(mu_max)
+    G = partitions.build_g_table(mu_max)
 
     # the cells run in order on this thread, whatever --threads says: the
     # big-integer loops hold the GIL, so worker threads only add start-up
     rows = []
     for L in sorted(l_values):
         for m, n in ((L * L, L * L), (L * L, L * L + L)):
-            v = pi_value(m, n, G)
+            v = bipartite.pi_value(m, n, G)
             a = asym_pi(m, n)
             rows.append({
                 "L": L,
@@ -206,8 +197,8 @@ def compute(args, guard):
     mu = min(m, n)
     # D needs G up to min(m, 2n - m), which is at most mu
     guard.require_table(mu, G_GROWTH)
-    G = build_g_table(mu)
-    v = pi_value(m, n, G)
+    G = partitions.build_g_table(mu)
+    v = bipartite.pi_value(m, n, G)
     a = _asym_pi(m, n) if v > 0 and mu >= 1 else None
     print(f"pi({m},{n}) = {v}")
     if a is not None:
@@ -218,7 +209,7 @@ def compute(args, guard):
     if m > 2 * n:
         print(f"D({m},{n}) = 0 (vanishes identically for m > 2n; no asymptotic applies)")
         return
-    d = d_value(m, n, G)
+    d = bipartite.d_value(m, n, G)
     print(f"D({m},{n}) = {d}")
     if d > 0 and 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
         ad = asym_D(m, n)
@@ -239,47 +230,47 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     # p is read to the marginals' order; every pi cell checked has
     # min(m, n) and |m - n| at most K
     K = max(TELESCOPE_N, box)
-    p = build_p_table(max(MARGINAL_N, box))
-    c = c_values_via_inversion(K)
-    alpha = [alpha_row(s, K, p) for s in range(K + 1)]
-    G = build_g_table(K)
+    p = partitions.build_p_table(max(MARGINAL_N, box))
+    c = partitions.c_values_via_inversion(K)
+    alpha = [bipartite.alpha_row(s, K, p) for s in range(K + 1)]
+    G = partitions.build_g_table(K)
     if fault:
         # negative control: corrupt one G value and watch the checks fail
         vals = list(G.values())
         vals[min(2, len(vals) - 1)] += 1
-        G = CoefficientTable(vals)
+        G = series.CoefficientTable(vals)
 
-    g = gf_table(box, box)
+    g = bipartite.gf_table(box, box)
     bad = sum(
         1
         for m in range(box + 1)
         for n in range(box + 1)
         if not (
-            pi_value(m, n, G)
-            == pi_value_by_alpha(m, n, c, alpha)
+            bipartite.pi_value(m, n, G)
+            == bipartite.pi_value_by_alpha(m, n, c, alpha)
             == g[m][n]
-            == enumerate_steady(m, n)
+            == bipartite.enumerate_steady(m, n)
         )
     )
     total = (box + 1) ** 2
     yield ("three-way pi agreement", bad == 0, f"{total - bad}/{total} cells")
 
     # one product table; the order-t table is its rows |m| <= t cut at n <= t
-    crank_big = build_crank_table(MARGINAL_N)
+    crank_big = crank.build_crank_table(MARGINAL_N)
     t = TELESCOPE_N
-    crank = tuple(row[:t + 1] for row in crank_big[:t + 1] + crank_big[len(crank_big) - t:])
+    crank_t = tuple(row[:t + 1] for row in crank_big[:t + 1] + crank_big[len(crank_big) - t:])
     bad = 0
     for n in range(TELESCOPE_N + 1):
         running = 0
         below = 0  # pi(m - 1, n) by the c/alpha convolution; pi(-1, n) = 0
         for m in range(2 * n + 1):
-            dv = d_value(m, n, G)
+            dv = bipartite.d_value(m, n, G)
             running += dv
-            here = pi_value_by_alpha(m, n, c, alpha)
-            if not dv == d_value_by_crank(m, n, c, crank) == here - below:
+            here = bipartite.pi_value_by_alpha(m, n, c, alpha)
+            if not dv == bipartite.d_value_by_crank(m, n, c, crank_t) == here - below:
                 bad += 1
             below = here
-            if running != pi_value(m, n, G):
+            if running != bipartite.pi_value(m, n, G):
                 bad += 1
     yield ("telescoping D identity", bad == 0, f"{(TELESCOPE_N + 1) ** 2} cells, n <= {TELESCOPE_N}")
 
@@ -291,17 +282,15 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     yield ("crank marginals equal p(n)", bad == 0, f"n <= {MARGINAL_N}")
 
     # pi(m, n) through G against pi(n, m) from the box expansion
-    bad = sum(1 for m in range(box + 1) for n in range(m) if pi_value(m, n, G) != g[n][m])
+    bad = sum(1 for m in range(box + 1) for n in range(m) if bipartite.pi_value(m, n, G) != g[n][m])
     yield ("pi symmetry", bad == 0, f"box {box}x{box}")
 
     if deep:
-        from .crank import build_crank_table_lambert, crank_counts_by_enumeration
-
-        same = build_crank_table_lambert(TELESCOPE_N) == crank
+        same = crank.build_crank_table_lambert(TELESCOPE_N) == crank_t
         yield ("crank expansion paths agree", same, f"order {TELESCOPE_N}")
 
-        counts = crank_counts_by_enumeration(30)
-        bad = sum(1 for n in range(2, 31) for m in range(-n, n + 1) if counts[n].get(m, 0) != crank[m][n])
+        counts = crank.crank_counts_by_enumeration(30)
+        bad = sum(1 for n in range(2, 31) for m in range(-n, n + 1) if counts[n].get(m, 0) != crank_t[m][n])
         yield ("combinatorial crank counts", bad == 0, "2 <= n <= 30")
 
 
@@ -324,8 +313,8 @@ def crank_row(args, guard):
     """Crank counts M(m, n) for m = -n .. n at a single n."""
     n = args.n
     guard.require_table(n, P_GROWTH)
-    p = build_p_table(n)
-    values = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
+    p = partitions.build_p_table(n)
+    values = [(m, crank.crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
     if args.fmt == "csv":
         print("m,M")
         for m, v in values:
@@ -349,101 +338,211 @@ def asym(args, guard):
         print(f"asym_D({m},{n})  = n/a (requires 1 <= m <= 2n with min(m, 2n-m) >= 1)")
 
 
+class UsageError(Exception):
+    """An option's text that does not parse; the message is argparse's."""
+
+
 def _int_range(lo: int, hi: int | None = None):
-    """An argparse type: an int of at least lo, and at most hi if given."""
+    """An option parser: an int of at least lo, and at most hi if given."""
     bounds = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+            raise UsageError(f"{text!r} is not a valid integer") from None
         if value < lo or (hi is not None and value > hi):
-            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+            raise UsageError(f"{value} is not in the range {bounds}")
         return value
 
     return parse
 
 
 def _l_list(text: str) -> list[int]:
-    """An argparse type: the distinct L values of a comma-separated list, sorted."""
+    """An option parser: the distinct L values of a comma-separated list, sorted."""
     try:
         l_values = sorted({int(tok) for tok in text.split(",") if tok.strip()})
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse L list {text!r}") from None
+        raise UsageError(f"cannot parse L list {text!r}") from None
     if not l_values or min(l_values) < 1:
-        raise argparse.ArgumentTypeError("L values must be positive integers")
+        raise UsageError("L values must be positive integers")
     return l_values
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="steadyparts",
-        description="Exact bipartite partition counts and their uniform asymptotics.",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--threads", type=_int_range(1), default=1,
-                        help="accepted for compatibility; table1 runs its cells on one thread")
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+def _box(text: str) -> int:
+    """An option parser: a box side from 1 to bipartite's product cap, read
+    only when verify's options are parsed."""
+    return _int_range(1, bipartite.PRODUCT_CAP)(text)
 
-    def command(run):
-        name = run.__name__.replace("_", "-")
-        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
-        sub.set_defaults(run=run)
-        return sub
 
-    def add_format(sub):
-        sub.add_argument("--format", dest="fmt", choices=("csv", "json", "text"), default="text",
-                         help="output format (default: text)")
+FORMATS = ("csv", "json", "text")
 
-    sub = command(table1)
-    sub.add_argument("--L", dest="l_values", type=_l_list, default="10,40",
-                     help="comma-separated list of L values (default: 10,40)")
-    add_format(sub)
 
-    sub = command(compute)
-    sub.add_argument("--m", required=True, type=_int_range(0))
-    sub.add_argument("--n", required=True, type=_int_range(0))
+def _format(text: str) -> str:
+    """An option parser: one of FORMATS."""
+    if text not in FORMATS:
+        raise UsageError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, FORMATS))})")
+    return text
 
-    sub = command(verify)
-    sub.add_argument("--deep", action="store_true",
-                     help="also compare both crank expansions and brute-force crank counts")
-    sub.add_argument("--box", type=_int_range(1, PRODUCT_CAP), default=10,
-                     help=f"side of the checked pi box, 1..{PRODUCT_CAP} (default: 10)")
-    sub.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
-    sub = command(crank_row)
-    sub.add_argument("--n", required=True, type=_int_range(0))
-    add_format(sub)
+# An option is (flag, dest, parse, default, help).  parse reads the text
+# given after the flag; None marks a switch, which takes no text and is True
+# when given.  default is the text read when the flag is absent (False for a
+# switch), or REQUIRED.  help is a string, a function that returns one when
+# --help is shown, or None to leave the option out of --help.
+REQUIRED = object()
+FORMAT = ("--format", "fmt", _format, "text", "output format: csv, json or text")
+# the options that come before the command
+GLOBAL_OPTIONS = (
+    ("--threads", "threads", _int_range(1), "1", "accepted for compatibility; table1 runs its cells on one thread"),
+)
+# command -> (run function, options)
+COMMANDS = {
+    "table1": (table1, (("--L", "l_values", _l_list, "10,40", "comma-separated list of L values"), FORMAT)),
+    "compute": (compute, (("--m", "m", _int_range(0), REQUIRED, ""), ("--n", "n", _int_range(0), REQUIRED, ""))),
+    "verify": (verify, (
+        ("--deep", "deep", None, False, "also compare both crank expansions and brute-force crank counts"),
+        ("--box", "box", _box, "10", lambda: f"side of the checked pi box, 1..{bipartite.PRODUCT_CAP}"),
+        ("--inject-fault", "inject_fault", None, False, None),  # a negative control for the tests
+    )),
+    "crank-row": (crank_row, (("--n", "n", _int_range(0), REQUIRED, ""), FORMAT)),
+    "asym": (asym, (("--m", "m", _int_range(1), REQUIRED, ""), ("--n", "n", _int_range(1), REQUIRED, ""))),
+}
 
-    sub = command(asym)
-    sub.add_argument("--m", required=True, type=_int_range(1))
-    sub.add_argument("--n", required=True, type=_int_range(1))
-    return parser
+
+def _prog(command: str | None) -> str:
+    return "steadyparts" if command is None else f"steadyparts {command}"
+
+
+def _options(command: str | None) -> tuple:
+    return GLOBAL_OPTIONS if command is None else COMMANDS[command][1]
+
+
+def _shown(command: str | None):
+    """(flag with its metavar, help, default) of each option --help shows."""
+    for flag, _, parse, default, doc in _options(command):
+        if doc is not None:
+            yield (flag if parse is None else f"{flag} {flag.lstrip('-').upper()}"), doc, default
+
+
+def _usage(command: str | None) -> str:
+    words = ["usage:", _prog(command), "[-h]"]
+    words += [arg if default is REQUIRED else f"[{arg}]" for arg, _, default in _shown(command)]
+    if command is None:
+        words.append("COMMAND ...")
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    for arg, doc, default in _shown(command):
+        text = doc() if callable(doc) else doc
+        if default not in (REQUIRED, False):
+            text += f" (default: {default})"
+        rows.append((arg, text))
+    if command is None:
+        about = "Exact bipartite partition counts and their uniform asymptotics."
+        commands = [(name, run.__doc__) for name, (run, _) in COMMANDS.items()]
+    else:
+        about, commands = COMMANDS[command][0].__doc__, []
+    width = max(len(left) for left, _ in rows + commands) + 2
+    lines = [_usage(command), "", about, "", "options:"]
+    lines += [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+    if commands:
+        lines += ["", "commands:"] + [f"  {name:<{width}}{doc}" for name, doc in commands]
+    return "\n".join(lines)
+
+
+def _usage_error(command: str | None, message: str):
+    """argparse's usage error: the usage line, then the message; exit 2."""
+    _stderr_line(_usage(command))
+    _stderr_line(f"{_prog(command)}: error: {message}")
+    sys.exit(2)
+
+
+def _parse(argv: list[str]):
+    """The run function and the option values of a command line: the
+    global options, a command, then the command's options, each given as
+    `--flag text` or `--flag=text`.  A repeated option keeps its last value,
+    and no flag may be abbreviated.  -h or --help prints the help of the
+    command read so far and exits 0.  A line that does not parse is a usage
+    error, with argparse's message."""
+    command = None
+    values = {}
+    unknown = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(command))
+            sys.exit(0)
+        flag, has_text, text = token.partition("=")
+        option = next((o for o in _options(command) if o[0] == flag), None)
+        if option is None:
+            if command is not None or token.startswith("-"):
+                unknown.append(token)
+            elif token in COMMANDS:
+                command = token
+            else:
+                choices = ", ".join(map(repr, COMMANDS))
+                _usage_error(None, f"argument COMMAND: invalid choice: {token!r} (choose from {choices})")
+            continue
+        _, dest, parse, _, _ = option
+        if parse is None:
+            if has_text:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {text!r}")
+            values[dest] = True
+            continue
+        if not has_text:
+            text = next(tokens, None)
+            # as in argparse, a negative number is a value, not a flag
+            if text is None or (text.startswith("-") and not text[1:].isdigit()):
+                _usage_error(command, f"argument {flag}: expected one argument")
+        try:
+            values[dest] = parse(text)
+        except UsageError as exc:
+            _usage_error(command, f"argument {flag}: {exc}")
+    if command is None:
+        _usage_error(None, "the following arguments are required: COMMAND")
+    run, options = COMMANDS[command]
+    missing = [flag for flag, dest, _, default, _ in options if default is REQUIRED and dest not in values]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _usage_error(command, f"unrecognized arguments: {' '.join(unknown)}")
+    for _, dest, parse, default, _ in GLOBAL_OPTIONS + options:
+        if dest not in values:
+            values[dest] = default if parse is None else parse(default)
+    return run, types.SimpleNamespace(**values)
 
 
 def cli(args: list[str] | None = None) -> None:
     """Parse `args` (default: sys.argv[1:]) and run one command under one
     ResourceGuard.  On return the command's output is flushed.
 
-    Exit status: 0 on success; 1 when verify finds a failure, when the
-    reader closes stdout early (quietly) or when stdout cannot be written
-    (one `error: cannot write output: ...` line on stderr); 2 on a usage
-    error (usage on stderr) or a guard abort (one `aborted: ...` line on
-    stderr).
+    Exit status: 0 on success, and after -h or --help; 1 when verify finds
+    a failure, when the reader closes stdout early (quietly) or when stdout
+    cannot be written (one `error: cannot write output: ...` line on
+    stderr); 2 on a usage error (usage and message on stderr), a guard
+    abort or a MemoryError (one `aborted: ...` line on stderr).
     """
-    ns = _parser().parse_args(args)
+    run, ns = _parse(sys.argv[1:] if args is None else args)
     if sys.stdout is None:  # fd 1 was closed before the interpreter started
         _cannot_write("stdout is closed")
     try:
         with ResourceGuard() as guard:
-            ns.run(ns, guard)
+            run(ns, guard)
         sys.stdout.flush()
+        return
+    except MemoryError:
+        # leaving this block drops the traceback, whose frames hold the
+        # command's tables, so that the abort line has memory to be written
+        pass
     except OSError as exc:
         _to_devnull(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             sys.exit(1)  # the reader closed stdout early (`| head`)
         _cannot_write(exc.strerror or str(exc))
+    _fail_guard("out of memory: the tables this request needs do not fit in the memory this process may use")
 
 
 # click's Group.main signature, through which bench/tracer.py calls the CLI

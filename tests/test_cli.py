@@ -54,16 +54,16 @@ class TestTable1:
             assert a.stdout == b.stdout
 
     def test_cell_fault_reads_the_same_on_any_thread_count(self, run_cli, monkeypatch):
-        from steadyparts import cli as cli_module
+        from steadyparts import bipartite
 
-        real = cli_module.pi_value
+        real = bipartite.pi_value
 
         def faulty(m, n, G):
             if m >= 1600:  # every cell from L = 40 on
                 raise ArithmeticError(f"cell ({m}, {n})")
             return real(m, n, G)
 
-        monkeypatch.setattr(cli_module, "pi_value", faulty)
+        monkeypatch.setattr(bipartite, "pi_value", faulty)
         raised = {}
         for threads in ("1", "2", "8"):
             with pytest.raises(ArithmeticError) as info:
@@ -296,6 +296,43 @@ class TestHelp:
         assert "--inject-fault" not in res.stdout
 
 
+class TestUsage:
+    """A command line that does not parse exits 2 with argparse's two
+    lines on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["frobnicate"], "steadyparts: error: argument COMMAND: invalid choice: 'frobnicate'"),
+            ([], "steadyparts: error: the following arguments are required: COMMAND"),
+            (["compute", "--m", "1", "--n", "1", "--bogus"], "steadyparts compute: error: unrecognized arguments: --bogus"),
+            (["compute", "--n", "1"], "steadyparts compute: error: the following arguments are required: --m"),
+            (["compute", "--m", "-5", "--n", "1"], "steadyparts compute: error: argument --m: -5 is not in the range x>=0"),
+            (["compute", "--m", "x", "--n", "1"], "steadyparts compute: error: argument --m: 'x' is not a valid integer"),
+            (["crank-row", "--n", "3", "--format", "xml"], "steadyparts crank-row: error: argument --format: invalid choice: 'xml'"),
+            (["--threads", "0", "asym", "--m", "1", "--n", "1"], "steadyparts: error: argument --threads: 0 is not in the range x>=1"),
+            (["verify", "--box", "0"], "steadyparts verify: error: argument --box: 0 is not in the range 1<=x<=60"),
+        ],
+    )
+    def test_exits_2_with_usage(self, run_cli, args, message):
+        res = run_cli(args)
+        assert res.code == 2
+        assert res.stdout == ""
+        usage, error = res.stderr.splitlines()
+        assert usage.startswith("usage: steadyparts")
+        assert error.startswith(message)
+
+    def test_equals_sign_and_repeated_option(self, run_cli):
+        # the last --n wins
+        assert run_cli(["asym", "--m=5", "--n", "3", "--n=7"]) == run_cli(["asym", "--m", "5", "--n", "7"])
+        assert run_cli(["asym", "--m", "5", "--n", "7"]).stdout.startswith("asym_pi(5,7) = ")
+
+    def test_short_help(self, run_cli):
+        res = run_cli(["asym", "-h"])
+        assert res.code == 0
+        assert res.stdout.startswith("usage: steadyparts asym [-h] --m M --n N\n")
+
+
 class TestProcess:
     """The CLI as its own process, as a shell runs it."""
 
@@ -415,7 +452,7 @@ class TestProcess:
     def test_imports_only_the_stdlib(self):
         out = self.modules_after("import sys, steadyparts.cli")
         assert "steadyparts.cli" in out
-        for name in ("click", "typing", "json", "concurrent.futures", "logging", "decimal"):
+        for name in ("click", "typing", "json", "concurrent.futures", "logging", "decimal", "argparse", "gettext", "locale"):
             assert name not in out
 
     def test_threads_load_no_pool(self):
@@ -427,17 +464,97 @@ class TestProcess:
         assert "logging" not in out
 
     def test_imports_every_package_module(self):
-        # bench/tracer.py wraps only the package modules loaded by this import
+        # bench/tracer.py wraps only the package modules in sys.modules after
+        # this import; they are registered there, compiled on first use
         files = Path(SRC, "steadyparts").glob("*.py")
         package = {f"steadyparts.{path.stem}" for path in files if path.stem != "__init__"}
         assert package
         assert package <= self.modules_after("import sys, steadyparts.cli")
 
+    def test_tracer_wraps_every_layer(self):
+        # as bench/tracer.py's install: snapshot the package's modules right
+        # after the import, then rebind each function in every namespace
+        probe = (
+            "import importlib, sys\nimport steadyparts.cli\n"
+            "package = [m for key, m in sys.modules.items() if key.split('.')[0] == 'steadyparts']\n"
+            "fired = set()\n"
+            "def wrap(name, fn):\n"
+            "    def traced(*args):\n"
+            "        fired.add(name)\n"
+            "        return fn(*args)\n"
+            "    return traced\n"
+            "for module, name in [('partitions', 'build_g_table'), ('bipartite', 'pi_value'),\n"
+            "                     ('crank', 'build_crank_table'), ('bipartite', 'gf_table')]:\n"
+            "    fn = getattr(importlib.import_module('steadyparts.' + module), name)\n"
+            "    wrapper = wrap(name, fn)\n"
+            "    for mod in package:\n"
+            "        for attr, value in list(vars(mod).items()):\n"
+            "            if value is fn:\n"
+            "                setattr(mod, attr, wrapper)\n"
+            "steadyparts.cli.cli(['verify', '--deep'])\n"
+            "print('fired', sorted(fired))\n"
+            "fired.clear()\n"
+            "steadyparts.cli.cli(['compute', '--m', '30', '--n', '40'])\n"
+            "print('fired', sorted(fired))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=self.env(), check=True,
+        ).stdout.splitlines()
+        assert [line for line in out if line.startswith("fired ")] == [
+            "fired ['build_crank_table', 'build_g_table', 'gf_table', 'pi_value']",  # verify --deep
+            "fired ['build_g_table', 'pi_value']",  # compute
+        ]
+
+    @pytest.mark.parametrize(
+        "args, unused",
+        [
+            (["asym", "--m", "100", "--n", "100"], ["bipartite", "crank", "partitions", "series"]),
+            (["compute", "--m", "100", "--n", "100"], ["crank"]),
+            (["table1", "--L", "10"], ["crank"]),
+        ],
+    )
+    def test_runs_only_the_modules_a_command_calls(self, args, unused):
+        # a module that has run holds __builtins__; reading its __dict__
+        # through object.__getattribute__ does not load it
+        probe = (
+            f"import sys\nfrom steadyparts.cli import cli\ncli({args!r})\n"
+            f"print([name for name in {unused!r}\n"
+            "       if '__builtins__' in object.__getattribute__(sys.modules['steadyparts.' + name], '__dict__')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60, env=self.env(), check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "[]"
+
+    def test_out_of_memory_exits_2_with_one_line(self):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS on this platform")
+        # the process caps its own address space at 1 GiB once started, and
+        # a budget of 10^15 bytes lets through a request whose first list, p to
+        # 2.5e8, takes 2 GB
+        probe = (
+            "import resource\nfrom steadyparts.cli import main\n"
+            "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 2 ** 30 if hard == resource.RLIM_INFINITY else min(2 ** 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "main()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "compute", "--m", str(10 ** 9), "--n", str(10 ** 9)],
+            capture_output=True, text=True, timeout=60,
+            env={**self.env(), "STEADYPARTS_MEM_LIMIT_BYTES": str(10 ** 15)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("aborted: out of memory")
+        assert proc.stderr.count("\n") == 1
+
     def test_time_budget_aborts_a_stuck_cell(self):
         # every cell blocks for good: the timer must still end the process
         probe = (
-            "import threading\nfrom steadyparts import cli\n"
-            "cli.pi_value = lambda m, n, G: threading.Event().wait()\n"
+            "import threading\nfrom steadyparts import bipartite, cli\n"
+            "bipartite.pi_value = lambda m, n, G: threading.Event().wait()\n"
             "cli.cli(['--threads', '2', 'table1', '--L', '10'])"
         )
         proc = subprocess.run(
@@ -447,3 +564,13 @@ class TestProcess:
         assert proc.returncode == 2
         assert proc.stderr == "aborted: time budget of 0.2s exceeded\n"
         assert proc.stdout == ""
+
+
+def test_every_public_name_resolves():
+    # the package's names resolve on first use, through one name -> module map
+    import steadyparts
+
+    assert {"pi_value", "build_g_table", "CoefficientTable", "asym_M", "crank_of"} <= set(steadyparts.__all__)
+    assert set(steadyparts.__all__) <= set(dir(steadyparts))
+    for name in steadyparts.__all__:
+        assert getattr(steadyparts, name) is not None
