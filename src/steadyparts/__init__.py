@@ -51,8 +51,10 @@ def _register(name: str):
     spec.loader.exec_module(module)
 
 
-# steadyparts.cli stays out: `python -m steadyparts.cli` runs it as __main__
-for _name in sorted(set(_EXPORTS.values())):
+# the modules that define a public name, and the two that hold command
+# bodies; steadyparts.cli stays out: `python -m steadyparts.cli` runs it as
+# __main__
+for _name in sorted({*_EXPORTS.values(), "oracles", "reports"}):
     _register(_name)
 del _name
 

@@ -7,8 +7,6 @@ Exact integers are compared in the same domain through ``math.log``, which
 takes Python ints of any size.
 """
 
-from __future__ import annotations
-
 import math
 
 # Growth constant of the bipartite asymptotics.

@@ -27,8 +27,6 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
 No oracle keeps a table alive between calls.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 from functools import cache
 from operator import add, mul, sub

@@ -1,20 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: parse the command line, then run one command
+under a resource guard.  `steadyparts --help` lists the commands.
 
-Commands:
-  table1     -- exact pi(L^2, L^2) and pi(L^2, L^2 + L) next to their
-                asymptotic main terms A and the ratio pi/A.
-  compute    -- exact pi(m,n) and D(m,n) for one cell, with asymptotics.
-  verify     -- run the cross-check suites (three-way agreement, telescoping,
-                crank marginals, symmetry); nonzero exit on any failure.
-  crank-row  -- the crank counts M(m, n) for one n.
-  asym       -- asymptotic values only.
+Only asym's body is here.  table1, compute and crank-row are in
+steadyparts.reports, and verify is in steadyparts.oracles.  The package
+compiles those on first use (see steadyparts/__init__), so a process
+compiles only the command it runs.
 
 A resource guard (default 8 GiB / 30 minutes, overridable through
 STEADYPARTS_TIME_LIMIT_S and STEADYPARTS_MEM_LIMIT_BYTES) aborts oversized
 requests cleanly, and so does a MemoryError that gets past it.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -23,31 +18,14 @@ import sys
 import threading
 import types
 
-# json is imported where --format json needs it, to keep it out of start-up.
-# The package's modules are compiled on first use (see steadyparts/__init__),
-# so bipartite, crank, partitions and series are imported as modules and
-# called through their attributes: `from .bipartite import pi_value` would
-# load bipartite here.  So asym loads none of the four, and compute and
-# table1 do not load crank.  bench/tracer.py still wraps their functions:
-# after `import steadyparts.cli` every module is in sys.modules, and the
-# tracer's read of each module's namespace loads it in place.
-from . import bipartite, crank, partitions, series
-from .asymptotics import C, asym_D, asym_pi
-from .formatting import ratio_string, sci_from_int, sci_from_log
+from . import bipartite, oracles, reports
+from .asymptotics import asym_D, asym_pi
+from .formatting import sci_from_log
 
 DEFAULT_TIME_LIMIT_S = 30 * 60
 DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
 # longest time budget: within the timer's range even where time_t is 32 bits
 MAX_TIME_LIMIT_S = 1e9
-
-# log p(n) ~ pi sqrt(2n/3) and log G(n) ~ C sqrt(n): the growth of the
-# tables' entries, from which the memory guard sizes a table
-P_GROWTH = math.pi * math.sqrt(2 / 3)
-G_GROWTH = C
-
-# the orders verify's telescoping and crank-marginal checks run to
-TELESCOPE_N = 40
-MARGINAL_N = 100
 
 
 class ResourceGuard:
@@ -98,6 +76,15 @@ class ResourceGuard:
                 f"budget is {self.mem_limit_bytes}"
             )
 
+    def asym_pi(self, m: int, n: int) -> float:
+        """asym_pi(m, n), or a clean abort when m or n is past a float's
+        range (about 1.8e308), which the formula's floats cannot take.
+        asym_D, called after it on the same cell, reads no larger ints."""
+        try:
+            return asym_pi(m, n)
+        except OverflowError:
+            _fail_guard("the asymptotic formulas take m and n up to about 1.8e308")
+
 
 def table_bytes(N: int, growth: float) -> int:
     """Bytes a table of entries 0..N takes, from above, when entry n has
@@ -135,211 +122,14 @@ def _cannot_write(reason: str):
     sys.exit(1)
 
 
-def _asym_pi(m: int, n: int) -> float:
-    """asym_pi(m, n), or a clean abort when m or n is past a float's range
-    (about 1.8e308), which the formula's floats cannot take.  asym_D, called
-    after it on the same cell, reads no larger ints."""
-    try:
-        return asym_pi(m, n)
-    except OverflowError:
-        _fail_guard("the asymptotic formulas take m and n up to about 1.8e308")
-
-
-def _table1_rows(l_values, guard):
-    # both cells of a row have min(m, n) = L^2
-    mu_max = max(L * L for L in l_values)
-    guard.require_table(mu_max, G_GROWTH)
-    G = partitions.build_g_table(mu_max)
-
-    # the cells run in order on this thread, whatever --threads says: the
-    # big-integer loops hold the GIL, so worker threads only add start-up
-    rows = []
-    for L in sorted(l_values):
-        for m, n in ((L * L, L * L), (L * L, L * L + L)):
-            v = bipartite.pi_value(m, n, G)
-            a = asym_pi(m, n)
-            rows.append({
-                "L": L,
-                "m": m,
-                "n": n,
-                "pi_exact": str(v),
-                "pi_sci": sci_from_int(v),
-                "A_sci": sci_from_log(a),
-                "ratio": ratio_string(math.log(v), a),
-            })
-    return rows
-
-
-def table1(args, guard):
-    """Exact vs. asymptotic values of pi on and near the diagonal."""
-    rows = _table1_rows(args.l_values, guard)
-    if args.fmt == "csv":
-        print("L,pi,A,ratio")
-        for r in rows:
-            print(f"{r['L']},{r['pi_sci']},{r['A_sci']},{r['ratio']}")
-    elif args.fmt == "json":
-        import json
-
-        print(json.dumps(rows, indent=2))
-    else:
-        for r in rows:
-            kind = "diagonal " if r["m"] == r["n"] else "off-diag "
-            print(
-                f"L={r['L']:>4} {kind} pi({r['m']},{r['n']}) = {r['pi_sci']}"
-                f"   A = {r['A_sci']}   ratio = {r['ratio']}"
-            )
-            print(f"           exact: {r['pi_exact']}")
-
-
-def compute(args, guard):
-    """Exact pi(m,n) and D(m,n) for one cell, with asymptotics and ratios."""
-    m, n = args.m, args.n
-    mu = min(m, n)
-    # D needs G up to min(m, 2n - m), which is at most mu
-    guard.require_table(mu, G_GROWTH)
-    G = partitions.build_g_table(mu)
-    v = bipartite.pi_value(m, n, G)
-    a = _asym_pi(m, n) if v > 0 and mu >= 1 else None
-    print(f"pi({m},{n}) = {v}")
-    if a is not None:
-        print(
-            f"  sci = {sci_from_int(v)}   asym = {sci_from_log(a)}"
-            f"   ratio = {ratio_string(math.log(v), a)}"
-        )
-    if m > 2 * n:
-        print(f"D({m},{n}) = 0 (vanishes identically for m > 2n; no asymptotic applies)")
-        return
-    d = bipartite.d_value(m, n, G)
-    print(f"D({m},{n}) = {d}")
-    if d > 0 and 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
-        ad = asym_D(m, n)
-        print(
-            f"  sci = {sci_from_int(d)}   asym = {sci_from_log(ad)}"
-            f"   ratio = {ratio_string(math.log(d), ad)}"
-        )
-
-
-def _verify_checks(box: int, deep: bool, fault: bool):
-    """Yield (name, passed, detail) tuples for each cross-check suite.
-
-    The fast path (pi_value and d_value over the G table) is checked against
-    routes that never touch G: the c/alpha convolution and the crank
-    convolution over a c table from dense series inversion, the Carlitz box
-    expansion and brute-force enumeration.
-    """
-    # p is read to the marginals' order; every pi cell checked has
-    # min(m, n) and |m - n| at most K
-    K = max(TELESCOPE_N, box)
-    p = partitions.build_p_table(max(MARGINAL_N, box))
-    c = partitions.c_values_via_inversion(K)
-    alpha = [bipartite.alpha_row(s, K, p) for s in range(K + 1)]
-    G = partitions.build_g_table(K)
-    if fault:
-        # negative control: corrupt one G value and watch the checks fail
-        vals = list(G.values())
-        vals[min(2, len(vals) - 1)] += 1
-        G = series.CoefficientTable(vals)
-
-    g = bipartite.gf_table(box, box)
-    bad = sum(
-        1
-        for m in range(box + 1)
-        for n in range(box + 1)
-        if not (
-            bipartite.pi_value(m, n, G)
-            == bipartite.pi_value_by_alpha(m, n, c, alpha)
-            == g[m][n]
-            == bipartite.enumerate_steady(m, n)
-        )
-    )
-    total = (box + 1) ** 2
-    yield ("three-way pi agreement", bad == 0, f"{total - bad}/{total} cells")
-
-    # one product table; the order-t table is its rows |m| <= t cut at n <= t
-    crank_big = crank.build_crank_table(MARGINAL_N)
-    t = TELESCOPE_N
-    crank_t = tuple(row[:t + 1] for row in crank_big[:t + 1] + crank_big[len(crank_big) - t:])
-    bad = 0
-    for n in range(TELESCOPE_N + 1):
-        running = 0
-        below = 0  # pi(m - 1, n) by the c/alpha convolution; pi(-1, n) = 0
-        for m in range(2 * n + 1):
-            dv = bipartite.d_value(m, n, G)
-            running += dv
-            here = bipartite.pi_value_by_alpha(m, n, c, alpha)
-            if not dv == bipartite.d_value_by_crank(m, n, c, crank_t) == here - below:
-                bad += 1
-            below = here
-            if running != bipartite.pi_value(m, n, G):
-                bad += 1
-    yield ("telescoping D identity", bad == 0, f"{(TELESCOPE_N + 1) ** 2} cells, n <= {TELESCOPE_N}")
-
-    bad = sum(
-        1
-        for n in range(MARGINAL_N + 1)
-        if sum(crank_big[m][n] for m in range(-n, n + 1)) != p.coeff(n)
-    )
-    yield ("crank marginals equal p(n)", bad == 0, f"n <= {MARGINAL_N}")
-
-    # pi(m, n) through G against pi(n, m) from the box expansion
-    bad = sum(1 for m in range(box + 1) for n in range(m) if bipartite.pi_value(m, n, G) != g[n][m])
-    yield ("pi symmetry", bad == 0, f"box {box}x{box}")
-
-    if deep:
-        same = crank.build_crank_table_lambert(TELESCOPE_N) == crank_t
-        yield ("crank expansion paths agree", same, f"order {TELESCOPE_N}")
-
-        counts = crank.crank_counts_by_enumeration(30)
-        bad = sum(1 for n in range(2, 31) for m in range(-n, n + 1) if counts[n].get(m, 0) != crank_t[m][n])
-        yield ("combinatorial crank counts", bad == 0, "2 <= n <= 30")
-
-
-def verify(args, guard):
-    """Run the oracle cross-check suites; exit nonzero on any failure."""
-    failures = 0
-    for name, passed, detail in _verify_checks(box=args.box, deep=args.deep, fault=args.inject_fault):
-        status = "PASS" if passed else "FAIL"
-        print(f"{status}  {name} ({detail})")
-        if not passed:
-            failures += 1
-    if failures:
-        sys.stdout.flush()  # the report comes before the verdict when both streams share a file
-        _stderr_line(f"{failures} check(s) failed")
-        sys.exit(1)
-    print("all checks passed")
-
-
-def crank_row(args, guard):
-    """Crank counts M(m, n) for m = -n .. n at a single n."""
-    n = args.n
-    guard.require_table(n, P_GROWTH)
-    p = partitions.build_p_table(n)
-    values = [(m, crank.crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
-    if args.fmt == "csv":
-        print("m,M")
-        for m, v in values:
-            print(f"{m},{v}")
-    elif args.fmt == "json":
-        import json
-
-        print(json.dumps([{"m": m, "M": str(v)} for m, v in values], indent=2))
-    else:
-        for m, v in values:
-            print(f"M({m},{n}) = {v}")
-
-
 def asym(args, guard):
     """Asymptotic main terms for pi(m,n) and D(m,n)."""
     m, n = args.m, args.n
-    print(f"asym_pi({m},{n}) = {sci_from_log(_asym_pi(m, n))}")
+    print(f"asym_pi({m},{n}) = {sci_from_log(guard.asym_pi(m, n))}")
     if 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
         print(f"asym_D({m},{n})  = {sci_from_log(asym_D(m, n))}")
     else:
         print(f"asym_D({m},{n})  = n/a (requires 1 <= m <= 2n with min(m, 2n-m) >= 1)")
-
-
-class UsageError(Exception):
-    """An option's text that does not parse; the message is argparse's."""
 
 
 def _int_range(lo: int, hi: int | None = None):
@@ -350,9 +140,9 @@ def _int_range(lo: int, hi: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            raise UsageError(f"{text!r} is not a valid integer") from None
+            raise ValueError(f"{text!r} is not a valid integer") from None
         if value < lo or (hi is not None and value > hi):
-            raise UsageError(f"{value} is not in the range {bounds}")
+            raise ValueError(f"{value} is not in the range {bounds}")
         return value
 
     return parse
@@ -363,15 +153,14 @@ def _l_list(text: str) -> list[int]:
     try:
         l_values = sorted({int(tok) for tok in text.split(",") if tok.strip()})
     except ValueError:
-        raise UsageError(f"cannot parse L list {text!r}") from None
+        raise ValueError(f"cannot parse L list {text!r}") from None
     if not l_values or min(l_values) < 1:
-        raise UsageError("L values must be positive integers")
+        raise ValueError("L values must be positive integers")
     return l_values
 
 
 def _box(text: str) -> int:
-    """An option parser: a box side from 1 to bipartite's product cap, read
-    only when verify's options are parsed."""
+    """An option parser: a box side from 1 to bipartite's product cap."""
     return _int_range(1, bipartite.PRODUCT_CAP)(text)
 
 
@@ -381,7 +170,7 @@ FORMATS = ("csv", "json", "text")
 def _format(text: str) -> str:
     """An option parser: one of FORMATS."""
     if text not in FORMATS:
-        raise UsageError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, FORMATS))})")
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, FORMATS))})")
     return text
 
 
@@ -396,17 +185,17 @@ FORMAT = ("--format", "fmt", _format, "text", "output format: csv, json or text"
 GLOBAL_OPTIONS = (
     ("--threads", "threads", _int_range(1), "1", "accepted for compatibility; table1 runs its cells on one thread"),
 )
-# command -> (run function, options)
+# command -> (a function that returns its run function, options)
 COMMANDS = {
-    "table1": (table1, (("--L", "l_values", _l_list, "10,40", "comma-separated list of L values"), FORMAT)),
-    "compute": (compute, (("--m", "m", _int_range(0), REQUIRED, ""), ("--n", "n", _int_range(0), REQUIRED, ""))),
-    "verify": (verify, (
+    "table1": (lambda: reports.table1, (("--L", "l_values", _l_list, "10,40", "comma-separated list of L values"), FORMAT)),
+    "compute": (lambda: reports.compute, (("--m", "m", _int_range(0), REQUIRED, ""), ("--n", "n", _int_range(0), REQUIRED, ""))),
+    "verify": (lambda: oracles.verify, (
         ("--deep", "deep", None, False, "also compare both crank expansions and brute-force crank counts"),
         ("--box", "box", _box, "10", lambda: f"side of the checked pi box, 1..{bipartite.PRODUCT_CAP}"),
         ("--inject-fault", "inject_fault", None, False, None),  # a negative control for the tests
     )),
-    "crank-row": (crank_row, (("--n", "n", _int_range(0), REQUIRED, ""), FORMAT)),
-    "asym": (asym, (("--m", "m", _int_range(1), REQUIRED, ""), ("--n", "n", _int_range(1), REQUIRED, ""))),
+    "crank-row": (lambda: reports.crank_row, (("--n", "n", _int_range(0), REQUIRED, ""), FORMAT)),
+    "asym": (lambda: asym, (("--m", "m", _int_range(1), REQUIRED, ""), ("--n", "n", _int_range(1), REQUIRED, ""))),
 }
 
 
@@ -442,9 +231,9 @@ def _help(command: str | None) -> str:
         rows.append((arg, text))
     if command is None:
         about = "Exact bipartite partition counts and their uniform asymptotics."
-        commands = [(name, run.__doc__) for name, (run, _) in COMMANDS.items()]
+        commands = [(name, find().__doc__) for name, (find, _) in COMMANDS.items()]
     else:
-        about, commands = COMMANDS[command][0].__doc__, []
+        about, commands = COMMANDS[command][0]().__doc__, []
     width = max(len(left) for left, _ in rows + commands) + 2
     lines = [_usage(command), "", about, "", "options:"]
     lines += [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
@@ -473,7 +262,7 @@ def _parse(argv: list[str]):
     tokens = iter(argv)
     for token in tokens:
         if token in ("-h", "--help"):
-            print(_help(command))
+            print(_help(command), flush=True)
             sys.exit(0)
         flag, has_text, text = token.partition("=")
         option = next((o for o in _options(command) if o[0] == flag), None)
@@ -499,11 +288,11 @@ def _parse(argv: list[str]):
                 _usage_error(command, f"argument {flag}: expected one argument")
         try:
             values[dest] = parse(text)
-        except UsageError as exc:
+        except ValueError as exc:  # the message is argparse's
             _usage_error(command, f"argument {flag}: {exc}")
     if command is None:
         _usage_error(None, "the following arguments are required: COMMAND")
-    run, options = COMMANDS[command]
+    find, options = COMMANDS[command]
     missing = [flag for flag, dest, _, default, _ in options if default is REQUIRED and dest not in values]
     if missing:
         _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
@@ -512,27 +301,35 @@ def _parse(argv: list[str]):
     for _, dest, parse, default, _ in GLOBAL_OPTIONS + options:
         if dest not in values:
             values[dest] = default if parse is None else parse(default)
-    return run, types.SimpleNamespace(**values)
+    return find(), types.SimpleNamespace(**values)
 
 
 def cli(args: list[str] | None = None) -> None:
     """Parse `args` (default: sys.argv[1:]) and run one command under one
     ResourceGuard.  On return the command's output is flushed.
 
-    Exit status: 0 on success, and after -h or --help; 1 when verify finds
-    a failure, when the reader closes stdout early (quietly) or when stdout
-    cannot be written (one `error: cannot write output: ...` line on
-    stderr); 2 on a usage error (usage and message on stderr), a guard
-    abort or a MemoryError (one `aborted: ...` line on stderr).
+    A run function returns None, or the line that says why the command
+    failed, which goes to stderr after the output.
+
+    Exit status: 0 on success, and after -h or --help; 1 when the command
+    failed (verify found a failure), when the reader closes stdout early
+    (quietly) or when stdout cannot be written (one `error: cannot write
+    output: ...` line on stderr); 2 on a usage error (usage and message on
+    stderr), a guard abort or a MemoryError (one `aborted: ...` line on
+    stderr).
     """
-    run, ns = _parse(sys.argv[1:] if args is None else args)
-    if sys.stdout is None:  # fd 1 was closed before the interpreter started
-        _cannot_write("stdout is closed")
     try:
+        # parsing compiles the command's module, which needs memory too
+        run, ns = _parse(sys.argv[1:] if args is None else args)
+        if sys.stdout is None:  # fd 1 was closed before the interpreter started
+            _cannot_write("stdout is closed")
         with ResourceGuard() as guard:
-            run(ns, guard)
-        sys.stdout.flush()
-        return
+            failure = run(ns, guard)
+        sys.stdout.flush()  # the output comes before the failure when both streams share a file
+        if failure is None:
+            return
+        _stderr_line(failure)
+        sys.exit(1)
     except MemoryError:
         # leaving this block drops the traceback, whose frames hold the
         # command's tables, so that the abort line has memory to be written
@@ -545,7 +342,7 @@ def cli(args: list[str] | None = None) -> None:
     _fail_guard("out of memory: the tables this request needs do not fit in the memory this process may use")
 
 
-# click's Group.main signature, through which bench/tracer.py calls the CLI
+# click's Group.main signature, kept for bench/tracer.py until ROADMAP item 1 moves it to cli(argv)
 cli.main = lambda args=None, prog_name=None, obj=None: cli(args)
 
 
@@ -561,6 +358,23 @@ def _watched() -> bool:
     return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
 
 
+def _cap_address_space():
+    """Cap the address space at the memory budget, when one is set, plus its
+    size now, so that a command that needs more than the guard estimates
+    ends in a clean abort.  Not in cli(): in-process callers set 10-byte budgets."""
+    try:
+        budget = max(int(os.environ["STEADYPARTS_MEM_LIMIT_BYTES"]), 0)
+        import resource
+
+        with open("/proc/self/statm") as statm:  # Linux; elsewhere nothing is capped
+            cap = budget + int(statm.read().split()[0]) * resource.getpagesize()
+    except (KeyError, ValueError, ImportError, OSError):
+        return  # no budget, or a malformed one, which the guard reports
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if cap < (sys.maxsize if soft == resource.RLIM_INFINITY else soft):  # a lower cap stays
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
 def main() -> None:
     """The process entry point, for `python -m steadyparts.cli` and the
     `steadyparts` script.
@@ -573,6 +387,7 @@ def main() -> None:
     normally, so that their exit hooks still run; so does every failure,
     through SystemExit.
     """
+    _cap_address_space()
     cli()
     if not _watched():
         if sys.stderr is not None:

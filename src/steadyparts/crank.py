@@ -28,8 +28,6 @@ M(+-1,1) = 1, which differ from the combinatorial counts.  The tests pin
 this down; it is what makes the D(m,n) convolution identity exact.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator, Sequence

@@ -4,8 +4,6 @@ Exact integers are rounded half-to-even on the 6th significant digit;
 natural logs (floats) are converted through base-10 mantissa/exponent form.
 """
 
-from __future__ import annotations
-
 import math
 
 _LN10 = math.log(10.0)

@@ -19,8 +19,6 @@ c (``c_values_via_inversion``, which ``verify`` uses).  p is checked against
 Euler's identity (q;q)_inf * P(q) = 1 through ``series.mul``.
 """
 
-from __future__ import annotations
-
 from .series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
 
 

@@ -24,8 +24,6 @@ Every coefficient is a plain Python int; no floats enter this module.
 Tables are immutable after construction and safe to share across threads.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable
 

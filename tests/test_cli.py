@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from steadyparts.cli import G_GROWTH, asym, compute, crank_row, table1, table_bytes, verify
+from steadyparts.cli import asym, table_bytes
+from steadyparts.oracles import verify
 from steadyparts.partitions import build_g_table
+from steadyparts.reports import G_GROWTH, compute, crank_row, table1
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
@@ -394,10 +396,20 @@ class TestProcess:
         assert out.startswith("asym_pi(100,100) = 2.14152e13\nasym_D(100,100)  = 2.17138e12\n")
         assert " function calls " in out
 
-    def test_debugger_session_goes_on(self):
+    def test_debugger_session_goes_on(self, tmp_path):
         # pdb removes its trace function on `continue`, then restarts the
-        # program once it finishes
-        proc = self.run_module("asym", "--m", "1", "--n", "1", prefix=("-m", "pdb"), input=b"continue\nquit\n")
+        # program once it finishes.  The script sets the command line
+        # itself, because CPython 3.13.0's pdb reads every argument after
+        # `-m module` as one of its own
+        script = tmp_path / "asym.py"
+        script.write_text(
+            "import sys\nfrom steadyparts.cli import main\n"
+            "sys.argv[1:] = ['asym', '--m', '1', '--n', '1']\nmain()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdb", str(script)], input=b"continue\nquit\n",
+            capture_output=True, timeout=60, env=self.env(),
+        )
         assert proc.returncode == 0
         assert b"asym_pi(1,1) = 3.00678e0\n" in proc.stdout
         assert b"The program finished and will be restarted" in proc.stdout
@@ -413,10 +425,11 @@ class TestProcess:
 
     @needs_dev_full
     def test_full_device_exits_1_with_one_line(self):
-        with open("/dev/full", "wb") as full:
-            proc = self.run_module("asym", "--m", "1", "--n", "1", stdout=full)
-        assert proc.returncode == 1
-        assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+        for args in (["asym", "--m", "1", "--n", "1"], ["--help"]):
+            with open("/dev/full", "wb") as full:
+                proc = self.run_module(*args, stdout=full)
+            assert proc.returncode == 1
+            assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
 
     @needs_dev_full
     def test_guard_abort_exits_2_when_stderr_cannot_be_written(self):
@@ -508,9 +521,10 @@ class TestProcess:
     @pytest.mark.parametrize(
         "args, unused",
         [
-            (["asym", "--m", "100", "--n", "100"], ["bipartite", "crank", "partitions", "series"]),
-            (["compute", "--m", "100", "--n", "100"], ["crank"]),
-            (["table1", "--L", "10"], ["crank"]),
+            (["asym", "--m", "100", "--n", "100"], ["bipartite", "crank", "partitions", "series", "reports", "oracles"]),
+            (["compute", "--m", "100", "--n", "100"], ["crank", "oracles"]),
+            (["table1", "--L", "10"], ["crank", "oracles"]),
+            (["verify", "--box", "3"], ["reports"]),
         ],
     )
     def test_runs_only_the_modules_a_command_calls(self, args, unused):
@@ -549,6 +563,23 @@ class TestProcess:
         assert proc.stdout == ""
         assert proc.stderr.startswith("aborted: out of memory")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="the memory cap reads /proc/self/statm")
+    def test_memory_budget_caps_the_process(self):
+        # the guard sizes only the p table, 1.8 MB at n = 20000, and lets a
+        # 2 MB budget through; the row's 40001 values take several MB more.
+        # No setrlimit here: the entry point caps its own address space
+        proc = self.run_module("crank-row", "--n", "20000", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(2 * 10 ** 6)})
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"aborted: out of memory")
+        assert proc.stderr.count(b"\n") == 1
+
+    def test_memory_budget_past_any_cap_runs(self):
+        # 10^30 bytes is past what setrlimit takes: no cap, and no traceback
+        proc = self.run_module("asym", "--m", "1", "--n", "1", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(10 ** 30)})
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
     def test_time_budget_aborts_a_stuck_cell(self):
         # every cell blocks for good: the timer must still end the process
