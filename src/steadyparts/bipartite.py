@@ -3,8 +3,10 @@
 The fast path is one table plus one short sum per cell.  Swapping the order
 of summation in the paper's convolutions writes every cell as an alternating
 sum of O(sqrt(mu)) coefficients of G = c * p, the series
-1/((q;q)^2 (q^2;q^2)) that ``partitions.build_g_table`` builds.  That sum is
-``series.theta_coefficient`` K(k, s) over G:
+1/((q;q)^2 (q^2;q^2)) that ``partitions.build_g_table`` reads through a
+table of half its order.  That sum is ``series.theta_coefficient`` K(k, s)
+over G, and G is any sequence of its coefficients: the reader, or a tuple
+when many cells share small orders:
 
 * ``pi_value``  -- pi(m, n) = K(mu, s), mu = min(m, n), s = |m - n|;
 * ``d_value``   -- the first difference D(m, n) = pi(m, n) - pi(m-1, n) as
@@ -34,7 +36,7 @@ from operator import add, mul, sub
 from .series import CoefficientTable, theta_coefficient
 
 
-def pi_value(m: int, n: int, G: CoefficientTable) -> int:
+def pi_value(m: int, n: int, G: Sequence[int]) -> int:
     """pi(m, n) = sum_{l >= 0} (-1)^l G(mu - l(l+1)/2 - l s), with
     mu = min(m, n) and s = |m - n|: ``theta_coefficient`` over G.
 
@@ -44,12 +46,12 @@ def pi_value(m: int, n: int, G: CoefficientTable) -> int:
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
     mu = min(m, n)
-    if G.max_index < mu:
+    if len(G) <= mu:
         raise IndexError("G table too short for pi_value")
-    return theta_coefficient(G.values(), mu, abs(m - n))
+    return theta_coefficient(G, mu, abs(m - n))
 
 
-def d_value(m: int, n: int, G: CoefficientTable) -> int:
+def d_value(m: int, n: int, G: Sequence[int]) -> int:
     """D(m, n) with L = min(m, 2n - m) and b = n - L:
 
         D(m,n) = sum_{k >= 1} (-1)^(k-1) [G(L - k(k-1)/2 - b(k-1))
@@ -63,11 +65,10 @@ def d_value(m: int, n: int, G: CoefficientTable) -> int:
     if m < 0 or n < 0:
         raise ValueError("d_value takes nonnegative arguments")
     L = min(2 * n - m, m)
-    if G.max_index < L:
+    if len(G) <= L:
         raise IndexError("G table too short for d_value")
     b = n - L
-    g = G.values()
-    return theta_coefficient(g, L, b) - theta_coefficient(g, L - 1, b + 1)
+    return theta_coefficient(G, L, b) - theta_coefficient(G, L - 1, b + 1)
 
 
 def alpha_row(s: int, K: int, p_table: CoefficientTable) -> tuple:

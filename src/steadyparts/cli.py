@@ -65,9 +65,11 @@ class ResourceGuard:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, self._previous)
 
-    def require_table(self, N: int, growth: float):
+    def require_table(self, N: int, growth: float, copies: int = 1, extra_bytes: int = 0):
+        """Abort unless `copies` tables of entries 0..N (``table_bytes``) and
+        `extra_bytes` more fit in the memory budget."""
         try:
-            need = table_bytes(N, growth)
+            need = copies * table_bytes(N, growth) + extra_bytes
         except OverflowError:  # N past a float's range: no budget holds it
             _fail_guard(f"request needs a table too large to size, budget is {self.mem_limit_bytes}")
         if need > self.mem_limit_bytes:

@@ -6,11 +6,17 @@
   pi and D cell is a short alternating sum over (see ``bipartite``).
 
 p comes from Euler's sparse pentagonal recurrence (``series.divide_by_euler``).
-G is built through Gauss's identity phi(-q) = (q;q)^2/(q^2;q^2), applied at
-q^2 and at q: G = P(q^4) / (phi(-q^2) phi(-q)), with P = 1/(q;q).  So one
-pentagonal division at order N/4 and two divisions by phi(-q)
-(``series.divide_by_phi``, +-2 at the squares) replace three full-length
-pentagonal divisions.
+G is read, not built.  Jacobi's phi(q) phi(-q) = phi(-q^2)^2 and Gauss's
+phi(-q) = (q;q)^2/(q^2;q^2) give G(q) = E(q^2) phi(q), with
+
+    E = P(q^2) / phi(-q)^3 = (q^2;q^2)^2 / (q;q)^6,   P = 1/(q;q),
+
+so ``build_g_table(N)`` builds only E to N/2: one pentagonal division at
+order N/4 and three divisions by phi(-q) (``series.divide_by_phi``, +-2 at
+the squares) at order N/2.  phi(q) = 1 + 2 sum_{j >= 1} q^(j^2), so each
+coefficient of G is a sum of O(sqrt(k)) entries of E, done when it is read:
+a pi or D cell reads only O(sqrt(mu)) coefficients of G, and the full table
+to mu is never formed.
 
 Independent routes are kept as oracles for the tests: the chain
 p -> c = p/(q^2;q^2) -> G = c/(q;q) of pentagonal divisions
@@ -18,6 +24,8 @@ p -> c = p/(q^2;q^2) -> G = c/(q;q) of pentagonal divisions
 c (``c_values_via_inversion``, which ``verify`` uses).  p is checked against
 Euler's identity (q;q)_inf * P(q) = 1 through ``series.mul``.
 """
+
+from collections.abc import Sequence
 
 from .series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
 
@@ -36,29 +44,61 @@ def build_c_table(N: int) -> CoefficientTable:
     return CoefficientTable(divide_by_euler(list(build_p_table(N).values()), 2))
 
 
-def build_g_table(N: int) -> CoefficientTable:
-    """G(0..N), the coefficients of 1/((q;q)^2 (q^2;q^2)) = P(q^4) / (phi(-q^2) phi(-q)).
+class HalfOrderG(Sequence):
+    """The read-only sequence G(0..length-1) over E = ``half``, where
+    G(q) = E(q^2) phi(q) and phi(q) = 1 + 2 sum_{j >= 1} q^(j^2):
 
-    Spreading a series onto the even indices substitutes q^2 for q, so two
-    rounds of spread-then-divide-by-phi(-q) take P(q^4) to G:
-    P(q^2)/phi(-q) = 1/(q;q)^2, and 1/(q^2;q^2)^2 / phi(-q) = G.
+        G(k) = [k even] E(k/2) + 2 sum_{j >= 1, j = k (mod 2), j^2 <= k} E((k - j^2)/2).
+
+    Reading G(k) costs about sqrt(k)/2 additions.  A caller that reads every
+    coefficient many times, as ``verify``'s small cells do, indexes
+    tuple(G) instead.  An index outside 0..length-1, negative ones too,
+    raises IndexError.
+    """
+
+    __slots__ = ("half", "_length")
+
+    def __init__(self, half, length: int):
+        self.half = tuple(half)
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k: int) -> int:
+        if not 0 <= k < self._length:
+            raise IndexError(f"coefficient {k} outside G's indices 0..{self._length - 1}")
+        e = self.half
+        h = k >> 1
+        # the terms j = k (mod 2) read E at h - 2i^2 (k even, j = 2i) or at
+        # h - 2i(i+1) (k odd, j = 2i+1), whose gaps grow by 4
+        if k & 1:
+            head, gap = 0, 0
+        else:
+            head, gap = e[h], 2
+            h -= 2
+        total = 0
+        while h >= 0:
+            total += e[h]
+            gap += 4
+            h -= gap
+        return head + 2 * total
+
+
+def build_g_table(N: int) -> HalfOrderG:
+    """G(0..N), the coefficients of 1/((q;q)^2 (q^2;q^2)) = E(q^2) phi(q), as
+    a ``HalfOrderG`` over E(0..N//2), E = P(q^2) / phi(-q)^3.
+
+    P(q^2) is the p table to N//4 spread onto the even indices (q^2 put in
+    for q); three in-place divisions by phi(-q) take it to E.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    half = divide_by_phi(_spread(build_p_table(N // 4).values(), N // 2 + 1))
-    full = _spread(half, N + 1)
-    # drop the list, so each value it held is freed once its slot in `full`
-    # is overwritten by the division
-    del half
-    return CoefficientTable(divide_by_phi(full))
-
-
-def _spread(values, length: int) -> list:
-    """`values` on the even indices of a zero list of `length`: the series
-    with q^2 put in for q."""
-    out = [0] * length
-    out[::2] = values
-    return out
+    half = [0] * (N // 2 + 1)
+    half[::2] = build_p_table(N // 4).values()
+    for _ in range(3):
+        divide_by_phi(half)
+    return HalfOrderG(half, N + 1)
 
 
 def g_values_via_chain(N: int) -> CoefficientTable:

@@ -17,16 +17,18 @@ from . import bipartite, crank, partitions
 from .asymptotics import C, asym_D, asym_pi
 from .formatting import ratio_string, sci_from_int, sci_from_log
 
-# log p(n) ~ pi sqrt(2n/3) and log G(n) ~ C sqrt(n): the growth of the
-# tables' entries, from which the memory guard sizes a table
+# log p(n) ~ pi sqrt(2n/3) and log E(i) ~ log G(2i) ~ C sqrt(2i): the growth
+# of the tables' entries, from which the memory guard sizes a table.  G to N
+# is read through E to N // 2 (partitions.build_g_table), which is all that
+# table1 and compute hold
 P_GROWTH = math.pi * math.sqrt(2 / 3)
-G_GROWTH = C
+E_GROWTH = math.sqrt(2) * C
 
 
 def _table1_rows(l_values, guard):
     # both cells of a row have min(m, n) = L^2
     mu_max = max(L * L for L in l_values)
-    guard.require_table(mu_max, G_GROWTH)
+    guard.require_table(mu_max // 2, E_GROWTH)
     G = partitions.build_g_table(mu_max)
 
     # the cells run in order on this thread, whatever --threads says: the
@@ -74,7 +76,7 @@ def compute(args, guard):
     m, n = args.m, args.n
     mu = min(m, n)
     # D needs G up to min(m, 2n - m), which is at most mu
-    guard.require_table(mu, G_GROWTH)
+    guard.require_table(mu // 2, E_GROWTH)
     G = partitions.build_g_table(mu)
     v = bipartite.pi_value(m, n, G)
     a = guard.asym_pi(m, n) if v > 0 and mu >= 1 else None
@@ -100,7 +102,11 @@ def compute(args, guard):
 def crank_row(args, guard):
     """Crank counts M(m, n) for m = -n .. n at a single n."""
     n = args.n
-    guard.require_table(n, P_GROWTH)
+    # the row is 2n + 1 pairs (m, M(m, n)): a 2-tuple, the int m and a list
+    # slot each, 92 bytes.  M(m, n) <= p(n - |m|), as M(m, n) is at most the
+    # count of crank >= |m|, an alternating sum of falling p values led by
+    # p(n - |m|); so the row's ints take at most two more p tables
+    guard.require_table(n, P_GROWTH, copies=3, extra_bytes=92 * (2 * n + 1))
     p = partitions.build_p_table(n)
     values = [(m, crank.crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
     if args.fmt == "csv":

@@ -1,10 +1,12 @@
 """Truncated power series in q over Python's arbitrary-precision integers.
 
 ``CoefficientTable`` is a series truncated (inclusively) at a fixed order;
-every table in the package is one.  ``theta_coefficient`` is the fast
+every table the package builds is one, except G, which ``partitions`` reads
+through a table of half its order.  ``theta_coefficient`` is the fast
 path's one short sum per cell: a coefficient of a table times the partial
-theta series sum_l (-1)^l q^(l(l+1)/2 + l s), which gives pi and D over the
-G table and the crank counts M over the p table.
+theta series sum_l (-1)^l q^(l(l+1)/2 + l s), which gives pi and D over G
+and the crank counts M over the p table.  It reads its series only by
+index, so G's reader serves as well as a tuple.
 
 Two classical series have a sparse support: Euler's pentagonal number
 theorem puts the terms of (q^s;q^s)_inf at s times the generalized
@@ -57,7 +59,8 @@ class CoefficientTable:
 def theta_coefficient(values, k: int, s: int) -> int:
     """K(k, s) = sum_{l >= 0} (-1)^l t(k - l(l+1)/2 - l s), the coefficient
     of q^k in t(q) * sum_{l >= 0} (-1)^l q^(l(l+1)/2 + l s), where t(n) is
-    values[n] for 0 <= n <= k.  K(k < 0, s) = 0.
+    values[n] for 0 <= n <= k, `values` any sequence indexed from 0.
+    K(k < 0, s) = 0.
 
     O(sqrt(k)) terms for s >= 0: the offset of term l grows by l + s.
     """

@@ -5,6 +5,8 @@ lines.
 """
 
 import math
+import random
+from operator import add
 
 import pytest
 
@@ -54,6 +56,26 @@ def g_big():
 def g_stretch():
     """G to 90300, enough for the Table 1 rows up to L = 300."""
     return build_g_table(90300)
+
+
+def test_g_stretch_reads_its_materialized_product(g_stretch):
+    # G = E(q^2) phi(q) formed as a product, one slice pass per square, on
+    # windows of 500 orders at both ends and at seeded places up to 90300,
+    # against the reader's per-order sums
+    N = len(g_stretch) - 1
+    spread = [0] * (N + 1)
+    spread[::2] = g_stretch.half
+    rng = random.Random(2019)
+    for a in [0, N - 499] + rng.sample(range(N - 499), 6):
+        b = a + 500
+        window = spread[a:b]
+        j = 1
+        while j * j < b:
+            lo = max(a, j * j)
+            shifted = spread[lo - j * j:b - j * j]
+            window[lo - a:] = map(add, window[lo - a:], map(add, shifted, shifted))
+            j += 1
+        assert [g_stretch[k] for k in range(a, b)] == window, a
 
 
 def report(criterion, ok, detail=""):

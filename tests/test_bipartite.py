@@ -286,6 +286,22 @@ class TestGPathAgainstOracles:
                 assert pi_value(m, n, g_table) == box[m][n], (m, n)
         assert pi_value(M, N, g_table) == enumerate_steady(M, N)
 
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (3000, 3000),  # diagonal
+            (2971, 3000),  # near-diagonal
+            (3000, 2985),
+            (4210, 2900),  # between: n < m < 2n
+            (6500, 3000),  # wide: m > 2n, where D = 0
+            (2500, 6013),  # tall: m << n
+        ],
+    )
+    def test_reader_and_its_tuple_agree_on_every_cell_shape(self, g3000, m, n):
+        table = tuple(g3000)
+        assert pi_value(m, n, g3000) == pi_value(m, n, table)
+        assert d_value(m, n, g3000) == d_value(m, n, table)
+
     def test_d_at_2500(self, p3000, c3000, g3000):
         column = {0: crank_column(0, 2500, p3000)}
         assert d_value(2500, 2500, g3000) == d_value_by_crank(2500, 2500, c3000, column)

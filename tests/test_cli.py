@@ -12,8 +12,9 @@ import pytest
 
 from steadyparts.cli import asym, table_bytes
 from steadyparts.oracles import verify
-from steadyparts.partitions import build_g_table
-from steadyparts.reports import G_GROWTH, compute, crank_row, table1
+from steadyparts.crank import crank_value_direct
+from steadyparts.partitions import build_g_table, build_p_table
+from steadyparts.reports import E_GROWTH, compute, crank_row, table1
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
@@ -138,9 +139,32 @@ class TestGuard:
         assert "Traceback" not in res.stderr
 
     def test_table_estimate_bounds_g_from_above(self):
-        values = build_g_table(10000).values()
+        # G to N is read through E to N // 2, the one table table1 and compute hold
+        values = build_g_table(10000).half
         held = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
-        assert held <= table_bytes(10000, G_GROWTH) <= 1.5 * held
+        assert held <= table_bytes(5000, E_GROWTH) <= 1.5 * held
+
+    def test_crank_row_estimate_bounds_what_it_holds(self, run_cli, monkeypatch):
+        # crank-row holds the p table and its row of (m, M(m, n)) pairs; the
+        # guard's estimate lies between that and half as much again
+        n = 5000
+        p = build_p_table(n)
+        row = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
+        held = sys.getsizeof(p.values()) + sum(map(sys.getsizeof, p.values()))
+        held += sys.getsizeof(row) + sum(sys.getsizeof(t) + sys.getsizeof(t[0]) + sys.getsizeof(t[1]) for t in row)
+        monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(held))
+        assert run_cli(["crank-row", "--n", str(n)]).code == 2
+        monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(int(1.5 * held)))
+        assert run_cli(["crank-row", "--n", str(n)]).code == 0
+
+    def test_crank_row_guard_sizes_the_row(self, run_cli, monkeypatch):
+        # 2 MB holds the p table to 20000 (~1.8 MB), not the row of 40001 values
+        monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(2 * 10 ** 6))
+        res = run_cli(["crank-row", "--n", "20000"])
+        assert res.code == 2
+        assert res.stderr.startswith("aborted: ")
+        assert res.stderr.count("\n") == 1
+        assert res.stdout == ""
 
     def test_compute_time_guard(self, run_cli, monkeypatch):
         monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0")
@@ -566,10 +590,13 @@ class TestProcess:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="the memory cap reads /proc/self/statm")
     def test_memory_budget_caps_the_process(self):
-        # the guard sizes only the p table, 1.8 MB at n = 20000, and lets a
-        # 2 MB budget through; the row's 40001 values take several MB more.
-        # No setrlimit here: the entry point caps its own address space
-        proc = self.run_module("crank-row", "--n", "20000", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(2 * 10 ** 6)})
+        # the guard sizes the p table and the row at n = 20000, 9.1 MB, and
+        # lets a 10 MB budget through; --format json builds 40001 dicts and
+        # one string of them, tens of MB more.  No setrlimit here: the entry
+        # point caps its own address space
+        proc = self.run_module(
+            "crank-row", "--n", "20000", "--format", "json", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(10 ** 7)},
+        )
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"aborted: out of memory")

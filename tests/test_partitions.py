@@ -93,24 +93,42 @@ class TestGTable:
     def test_is_c_times_p(self, p2000, c2000):
         G = build_g_table(400)
         for n in range(401):
-            assert G.coeff(n) == sum(c2000.coeff(k) * p2000.coeff(n - k) for k in range(n + 1))
+            assert G[n] == sum(c2000.coeff(k) * p2000.coeff(n - k) for k in range(n + 1))
 
     def test_small_values(self):
         # 1/((q;q)^2 (q^2;q^2)) = 1 + 2q + 6q^2 + 12q^3 + ...
-        assert build_g_table(3).values() == (1, 2, 6, 12)
+        assert tuple(build_g_table(3)) == (1, 2, 6, 12)
 
     def test_gauss_build_matches_chain_at_small_orders(self):
         for N in range(65):
-            assert build_g_table(N).values() == g_values_via_chain(N).values(), N
+            assert tuple(build_g_table(N)) == g_values_via_chain(N).values(), N
 
     @pytest.mark.parametrize("N", [2001, 10100])
     def test_gauss_build_matches_chain(self, N):
-        assert build_g_table(N).values() == g_values_via_chain(N).values()
+        assert tuple(build_g_table(N)) == g_values_via_chain(N).values()
+
+    @pytest.mark.parametrize("N", [2999, 3000])
+    def test_reader_matches_chain_at_every_index(self, N):
+        # every k <= N, both parities, from k = 0 on; E runs to N // 2
+        G = build_g_table(N)
+        chain = g_values_via_chain(N).values()
+        assert len(G) == N + 1
+        assert len(G.half) == N // 2 + 1
+        assert [G[k] for k in range(4)] == [1, 2, 6, 12]
+        assert [G[k] for k in range(N + 1)] == list(chain)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3000])
+    def test_reader_raises_outside_its_indices(self, N):
+        G = build_g_table(N)
+        assert G[N] > 0
+        for k in (N + 1, N + 2, -1):
+            with pytest.raises(IndexError):
+                G[k]
 
     def test_large_order_is_c_times_p(self):
         n = 10000
         c, p = build_c_table(n), build_p_table(n)
-        assert build_g_table(n).coeff(n) == sum(c.coeff(k) * p.coeff(n - k) for k in range(n + 1))
+        assert build_g_table(n)[n] == sum(c.coeff(k) * p.coeff(n - k) for k in range(n + 1))
 
 
 class TestDivideByEuler:
