@@ -8,10 +8,10 @@ compiles only the command it runs.
 
 A resource guard (default 8 GiB / 30 minutes, overridable through
 STEADYPARTS_TIME_LIMIT_S and STEADYPARTS_MEM_LIMIT_BYTES) aborts oversized
-requests cleanly, and so does a MemoryError that gets past it.
+requests cleanly, and so do a MemoryError that gets past it and an
+OverflowError from a size or an asymptotic past a float's range.
 """
 
-import math
 import os
 import signal
 import sys
@@ -35,8 +35,9 @@ class ResourceGuard:
     when it fires, the command aborts wherever it is, inside table builds
     too.  Signals reach only the main thread, so a command run from another
     thread gets no timer; a budget of 0 or less still aborts it at once.
-    The memory budget is checked before a table is built.  A budget that
-    does not parse, or a time budget above MAX_TIME_LIMIT_S, aborts at once.
+    ``require`` checks the memory budget, before a table is built, against
+    a size from steadyparts.partitions.  A budget that does not parse, or a
+    time budget above MAX_TIME_LIMIT_S, aborts at once.
     """
 
     def __init__(self):
@@ -65,36 +66,10 @@ class ResourceGuard:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, self._previous)
 
-    def require_table(self, N: int, growth: float, copies: int = 1, extra_bytes: int = 0):
-        """Abort unless `copies` tables of entries 0..N (``table_bytes``) and
-        `extra_bytes` more fit in the memory budget."""
-        try:
-            need = copies * table_bytes(N, growth) + extra_bytes
-        except OverflowError:  # N past a float's range: no budget holds it
-            _fail_guard(f"request needs a table too large to size, budget is {self.mem_limit_bytes}")
-        if need > self.mem_limit_bytes:
-            _fail_guard(
-                f"request needs ~{need} bytes of table storage, "
-                f"budget is {self.mem_limit_bytes}"
-            )
-
-    def asym_pi(self, m: int, n: int) -> float:
-        """asym_pi(m, n), or a clean abort when m or n is past a float's
-        range (about 1.8e308), which the formula's floats cannot take.
-        asym_D, called after it on the same cell, reads no larger ints."""
-        try:
-            return asym_pi(m, n)
-        except OverflowError:
-            _fail_guard("the asymptotic formulas take m and n up to about 1.8e308")
-
-
-def table_bytes(N: int, growth: float) -> int:
-    """Bytes a table of entries 0..N takes, from above, when entry n has
-    about growth * sqrt(n) / ln 2 bits: an int is a 28-byte header and
-    4 bytes per 30 bits, plus 16 bytes of list and tuple slots.  The bits
-    sum to at most growth * (2/3) (N + 1)^1.5 / ln 2."""
-    bits = growth * (N + 1) ** 1.5 / (1.5 * math.log(2))
-    return math.ceil(44 * (N + 1) + bits / 7.5)
+    def require(self, nbytes: int):
+        """Abort unless nbytes fit in the memory budget."""
+        if nbytes > self.mem_limit_bytes:
+            _fail_guard(f"request needs ~{nbytes} bytes of table storage, budget is {self.mem_limit_bytes}")
 
 
 def _to_devnull(stream):
@@ -127,7 +102,7 @@ def _cannot_write(reason: str):
 def asym(args, guard):
     """Asymptotic main terms for pi(m,n) and D(m,n)."""
     m, n = args.m, args.n
-    print(f"asym_pi({m},{n}) = {sci_from_log(guard.asym_pi(m, n))}")
+    print(f"asym_pi({m},{n}) = {sci_from_log(asym_pi(m, n))}")
     if 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
         print(f"asym_D({m},{n})  = {sci_from_log(asym_D(m, n))}")
     else:
@@ -317,8 +292,8 @@ def cli(args: list[str] | None = None) -> None:
     failed (verify found a failure), when the reader closes stdout early
     (quietly) or when stdout cannot be written (one `error: cannot write
     output: ...` line on stderr); 2 on a usage error (usage and message on
-    stderr), a guard abort or a MemoryError (one `aborted: ...` line on
-    stderr).
+    stderr), a guard abort, a MemoryError or an OverflowError (one
+    `aborted: ...` line on stderr).
     """
     try:
         # parsing compiles the command's module, which needs memory too
@@ -335,13 +310,16 @@ def cli(args: list[str] | None = None) -> None:
     except MemoryError:
         # leaving this block drops the traceback, whose frames hold the
         # command's tables, so that the abort line has memory to be written
-        pass
+        reason = "out of memory: the tables this request needs do not fit in the memory this process may use"
+    except OverflowError:
+        # a table order or an asymptotic's m or n, read as a float before any output
+        reason = "an order or argument past a float's range (about 1.8e308): no table of it can be sized and no asymptotic evaluated"
     except OSError as exc:
         _to_devnull(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             sys.exit(1)  # the reader closed stdout early (`| head`)
         _cannot_write(exc.strerror or str(exc))
-    _fail_guard("out of memory: the tables this request needs do not fit in the memory this process may use")
+    _fail_guard(reason)
 
 
 # click's Group.main signature, kept for bench/tracer.py until ROADMAP item 1 moves it to cli(argv)

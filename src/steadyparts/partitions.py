@@ -25,8 +25,10 @@ c (``c_values_via_inversion``, which ``verify`` uses).  p is checked against
 Euler's identity (q;q)_inf * P(q) = 1 through ``series.mul``.
 """
 
+import math
 from collections.abc import Sequence
 
+from .asymptotics import C
 from .series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
 
 
@@ -99,6 +101,27 @@ def build_g_table(N: int) -> HalfOrderG:
     for _ in range(3):
         divide_by_phi(half)
     return HalfOrderG(half, N + 1)
+
+
+def _table_bytes(N: int, growth: float) -> int:
+    """Bytes a table of entries 0..N takes, from above, which the CLI's memory
+    guard checks before a build.  Entry n has about growth * sqrt(n) / ln 2
+    bits: an int is a 28-byte header and 4 bytes per 30 bits, plus 16 bytes
+    of list and tuple slots.  The bits sum to at most growth * (2/3)
+    (N + 1)^1.5 / ln 2.  An N past a float's range raises OverflowError."""
+    bits = growth * (N + 1) ** 1.5 / (1.5 * math.log(2))
+    return math.ceil(44 * (N + 1) + bits / 7.5)
+
+
+def p_table_bytes(N: int) -> int:
+    """Bytes ``build_p_table(N)`` holds, from above: log p(n) ~ pi sqrt(2n/3)."""
+    return _table_bytes(N, math.pi * math.sqrt(2 / 3))
+
+
+def g_table_bytes(N: int) -> int:
+    """Bytes ``build_g_table(N)`` holds, from above: E to N // 2, where
+    log E(i) ~ log G(2i) ~ C sqrt(2i)."""
+    return _table_bytes(N // 2, math.sqrt(2) * C)
 
 
 def g_values_via_chain(N: int) -> CoefficientTable:

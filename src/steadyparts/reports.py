@@ -12,23 +12,17 @@ imported where --format json needs it, to keep it out of the other formats.
 """
 
 import math
+import sys
 
 from . import bipartite, crank, partitions
-from .asymptotics import C, asym_D, asym_pi
+from .asymptotics import asym_D, asym_pi
 from .formatting import ratio_string, sci_from_int, sci_from_log
-
-# log p(n) ~ pi sqrt(2n/3) and log E(i) ~ log G(2i) ~ C sqrt(2i): the growth
-# of the tables' entries, from which the memory guard sizes a table.  G to N
-# is read through E to N // 2 (partitions.build_g_table), which is all that
-# table1 and compute hold
-P_GROWTH = math.pi * math.sqrt(2 / 3)
-E_GROWTH = math.sqrt(2) * C
 
 
 def _table1_rows(l_values, guard):
     # both cells of a row have min(m, n) = L^2
     mu_max = max(L * L for L in l_values)
-    guard.require_table(mu_max // 2, E_GROWTH)
+    guard.require(partitions.g_table_bytes(mu_max))
     G = partitions.build_g_table(mu_max)
 
     # the cells run in order on this thread, whatever --threads says: the
@@ -60,7 +54,8 @@ def table1(args, guard):
     elif args.fmt == "json":
         import json
 
-        print(json.dumps(rows, indent=2))
+        json.dump(rows, sys.stdout, indent=2)
+        print()
     else:
         for r in rows:
             kind = "diagonal " if r["m"] == r["n"] else "off-diag "
@@ -76,10 +71,10 @@ def compute(args, guard):
     m, n = args.m, args.n
     mu = min(m, n)
     # D needs G up to min(m, 2n - m), which is at most mu
-    guard.require_table(mu // 2, E_GROWTH)
+    guard.require(partitions.g_table_bytes(mu))
     G = partitions.build_g_table(mu)
     v = bipartite.pi_value(m, n, G)
-    a = guard.asym_pi(m, n) if v > 0 and mu >= 1 else None
+    a = asym_pi(m, n) if v > 0 and mu >= 1 else None
     print(f"pi({m},{n}) = {v}")
     if a is not None:
         print(
@@ -106,7 +101,7 @@ def crank_row(args, guard):
     # slot each, 92 bytes.  M(m, n) <= p(n - |m|), as M(m, n) is at most the
     # count of crank >= |m|, an alternating sum of falling p values led by
     # p(n - |m|); so the row's ints take at most two more p tables
-    guard.require_table(n, P_GROWTH, copies=3, extra_bytes=92 * (2 * n + 1))
+    guard.require(3 * partitions.p_table_bytes(n) + 92 * (2 * n + 1))
     p = partitions.build_p_table(n)
     values = [(m, crank.crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
     if args.fmt == "csv":
@@ -116,7 +111,8 @@ def crank_row(args, guard):
     elif args.fmt == "json":
         import json
 
-        print(json.dumps([{"m": m, "M": str(v)} for m, v in values], indent=2))
+        json.dump([{"m": m, "M": str(v)} for m, v in values], sys.stdout, indent=2)
+        print()
     else:
         for m, v in values:
             print(f"M({m},{n}) = {v}")

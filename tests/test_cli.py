@@ -10,13 +10,26 @@ from pathlib import Path
 
 import pytest
 
-from steadyparts.cli import asym, table_bytes
+from steadyparts.cli import asym
 from steadyparts.oracles import verify
 from steadyparts.crank import crank_value_direct
-from steadyparts.partitions import build_g_table, build_p_table
-from steadyparts.reports import E_GROWTH, compute, crank_row, table1
+from steadyparts.partitions import build_g_table, build_p_table, g_table_bytes, p_table_bytes
+from steadyparts.reports import compute, crank_row, table1
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the one abort line of an order or argument past a float's range
+PAST_A_FLOAT = (
+    "aborted: an order or argument past a float's range (about 1.8e308): "
+    "no table of it can be sized and no asymptotic evaluated\n"
+)
+# arguments that read an int past a float's range: a table order (the first
+# three) or the asymptotic formulas' m (the last)
+PAST_A_FLOAT_ARGS = [
+    ["table1", "--L", str(10 ** 200)],
+    ["compute", "--m", str(10 ** 400), "--n", str(10 ** 400)],
+    ["crank-row", "--n", str(10 ** 400)],
+    ["asym", "--m", str(10 ** 400), "--n", "5"],
+]
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 
 
@@ -109,7 +122,7 @@ class TestCompute:
         res = run_cli(["compute", "--m", str(10 ** 400), "--n", "5"])
         assert res.code == 2
         assert res.stdout == ""
-        assert res.stderr == "aborted: the asymptotic formulas take m and n up to about 1.8e308\n"
+        assert res.stderr == PAST_A_FLOAT
 
 
 class TestGuard:
@@ -122,11 +135,7 @@ class TestGuard:
             ["table1", "--L", "10"],
             ["compute", "--m", "100", "--n", "100"],
             ["crank-row", "--n", "10"],
-            # orders and arguments past a float's range
-            ["table1", "--L", str(10 ** 200)],
-            ["compute", "--m", str(10 ** 400), "--n", str(10 ** 400)],
-            ["crank-row", "--n", str(10 ** 400)],
-            ["asym", "--m", str(10 ** 400), "--n", "5"],
+            *PAST_A_FLOAT_ARGS,
         ],
     )
     def test_memory_guard_aborts_cleanly(self, run_cli, monkeypatch, args):
@@ -142,7 +151,12 @@ class TestGuard:
         # G to N is read through E to N // 2, the one table table1 and compute hold
         values = build_g_table(10000).half
         held = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
-        assert held <= table_bytes(5000, E_GROWTH) <= 1.5 * held
+        assert held <= g_table_bytes(10000) <= 1.5 * held
+
+    def test_table_estimate_bounds_p_from_above(self):
+        values = build_p_table(20000).values()
+        held = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
+        assert held <= p_table_bytes(20000) <= 1.5 * held
 
     def test_crank_row_estimate_bounds_what_it_holds(self, run_cli, monkeypatch):
         # crank-row holds the p table and its row of (m, M(m, n)) pairs; the
@@ -405,6 +419,13 @@ class TestProcess:
         assert proc.stdout == b""
         assert proc.stderr == b"aborted: time budget of 0s exceeded\n"
 
+    @pytest.mark.parametrize("args", PAST_A_FLOAT_ARGS)
+    def test_past_a_float_exits_2_with_one_line(self, args):
+        proc = self.run_module(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == PAST_A_FLOAT.encode()
+
     def test_usage_error_exits_2(self):
         proc = self.run_module("table1", "--L", "ten")
         assert proc.returncode == 2
@@ -591,9 +612,9 @@ class TestProcess:
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="the memory cap reads /proc/self/statm")
     def test_memory_budget_caps_the_process(self):
         # the guard sizes the p table and the row at n = 20000, 9.1 MB, and
-        # lets a 10 MB budget through; --format json builds 40001 dicts and
-        # one string of them, tens of MB more.  No setrlimit here: the entry
-        # point caps its own address space
+        # lets a 10 MB budget through; --format json builds 40001 dicts, which
+        # with the json module peak at about 34 MB.  No setrlimit here: the
+        # entry point caps its own address space
         proc = self.run_module(
             "crank-row", "--n", "20000", "--format", "json", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(10 ** 7)},
         )
