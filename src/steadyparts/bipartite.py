@@ -26,14 +26,14 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
                                memoised recursion over the first pair;
                                ``steady_partitions`` lists them.
 
-No oracle keeps a table alive between calls.
+The oracles slice the p and c tuples; none keeps a table alive between calls.
 """
 
 from collections.abc import Sequence
 from functools import cache
 from operator import add, mul, sub
 
-from .series import CoefficientTable, theta_coefficient
+from .series import theta_coefficient
 
 
 def pi_value(m: int, n: int, G: Sequence[int]) -> int:
@@ -71,7 +71,7 @@ def d_value(m: int, n: int, G: Sequence[int]) -> int:
     return theta_coefficient(G, L, b) - theta_coefficient(G, L - 1, b + 1)
 
 
-def alpha_row(s: int, K: int, p_table: CoefficientTable) -> tuple:
+def alpha_row(s: int, K: int, p: Sequence[int]) -> tuple:
     """The row alpha(s, 0..K), where
 
         alpha(s, k) = sum over l >= 0 of (-1)^l p(k - l(l+1)/2 - l s).
@@ -82,9 +82,8 @@ def alpha_row(s: int, K: int, p_table: CoefficientTable) -> tuple:
     """
     if s < 0 or K < 0:
         raise ValueError("alpha takes nonnegative arguments")
-    if p_table.max_index < K:
+    if len(p) <= K:
         raise IndexError("p table too short for alpha")
-    p = p_table.values()
     row = list(p[:K + 1])
     l = 1
     while (off := l * (l + 1) // 2 + l * s) <= K:
@@ -93,22 +92,21 @@ def alpha_row(s: int, K: int, p_table: CoefficientTable) -> tuple:
     return tuple(row)
 
 
-def pi_value_by_alpha(m: int, n: int, c_table: CoefficientTable, alpha) -> int:
+def pi_value_by_alpha(m: int, n: int, c: Sequence[int], alpha) -> int:
     """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k),
     with `alpha` anything indexed alpha[s][k], such as rows of ``alpha_row``."""
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
     mu = min(m, n)
-    if c_table.max_index < mu:
+    if len(c) <= mu:
         raise IndexError("c table too short for pi_value_by_alpha")
     row = alpha[abs(m - n)]
     if len(row) <= mu:
         raise IndexError("alpha row too short for pi_value_by_alpha")
-    c = c_table.values()
     return sum(map(mul, c[mu::-1], row))
 
 
-def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
+def d_value_by_crank(m: int, n: int, c: Sequence[int], M) -> int:
     """Oracle for D(m, n) through the crank convolution:
 
         D(m,n) = sum_{0 <= k <= L} c(L - k) M(n - L, n - L + k),
@@ -123,13 +121,12 @@ def d_value_by_crank(m: int, n: int, c_table: CoefficientTable, M) -> int:
     if m > 2 * n:
         return 0
     L = min(2 * n - m, m)
-    if c_table.max_index < L:
+    if len(c) <= L:
         raise IndexError("c table too short for d_value_by_crank")
     base = n - L
     row = M[base]
     if len(row) <= n:
         raise IndexError("crank table too short for d_value_by_crank")
-    c = c_table.values()
     return sum(map(mul, c[L::-1], row[base:n + 1]))
 
 

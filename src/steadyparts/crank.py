@@ -20,7 +20,7 @@ produce the same numbers and are compared in the tests:
                                     sum geometrically; each value
                                     (``crank_value_direct``) is a difference
                                     of two ``series.theta_coefficient`` sums
-                                    over p; this is the only route that
+                                    over the p tuple; the only route that
                                     scales to q-orders in the thousands.
 
 Note the generating-function convention at n = 1: M(0,1) = -1 and
@@ -33,7 +33,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from operator import neg, sub
 
-from .series import CoefficientTable, divide_by_euler, euler_product, invert, mul, theta_coefficient
+from .series import divide_by_euler, euler_product, invert, mul, theta_coefficient
 
 
 def build_crank_table(N: int) -> tuple:
@@ -58,7 +58,7 @@ def build_crank_table(N: int) -> tuple:
     # with crank m, and for n <= 1 |M| <= 1 = p(n).  One bit more holds the
     # sign, so every final field lies in [-2^(W-1), 2^(W-1)).
     W = divide_by_euler([1] + [0] * N)[-1].bit_length() + 1
-    C = [e << (N * W) for e in euler_product(1, N).coeffs]
+    C = [e << (N * W) for e in euler_product(1, N)]
     for j in range(1, N + 1):
         for n in range(j, N + 1):
             C[n] += C[n - j] << W
@@ -111,19 +111,19 @@ def build_crank_table_lambert(N: int) -> tuple:
         grid[m][:] = map(sub, grid[m], grid[m - 1])
     grid[0][0] += 1
     p_series = invert(euler_product(1, N))
-    return tuple(mul(CoefficientTable(row), p_series).coeffs for row in grid)
+    return tuple(mul(row, p_series) for row in grid)
 
 
-def crank_column(m: int, N: int, p_table: CoefficientTable) -> tuple:
+def crank_column(m: int, N: int, p_table: Sequence[int]) -> tuple:
     """M(m, n) for n = 0..N from the closed form in partition numbers;
     this is the route used at orders where the full 2-D expansion is out
     of reach."""
-    if p_table.max_index < N:
+    if len(p_table) <= N:
         raise IndexError("p table too short for the requested crank column")
     return tuple(crank_value_direct(m, n, p_table) for n in range(N + 1))
 
 
-def crank_value_direct(m: int, n: int, p_table: CoefficientTable) -> int:
+def crank_value_direct(m: int, n: int, p_table: Sequence[int]) -> int:
     """Single M(m, n) from the closed form
 
         M(m, n) = sum_{k >= 1} (-1)^{k-1}
@@ -137,8 +137,7 @@ def crank_value_direct(m: int, n: int, p_table: CoefficientTable) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = abs(m)
-    p = p_table.values()
-    return theta_coefficient(p, n - m, m) - theta_coefficient(p, n - m - 1, m + 1)
+    return theta_coefficient(p_table, n - m, m) - theta_coefficient(p_table, n - m - 1, m + 1)
 
 
 def partitions_of(n: int) -> Iterator[tuple]:

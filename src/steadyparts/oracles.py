@@ -72,7 +72,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     bad = sum(
         1
         for n in range(MARGINAL_N + 1)
-        if sum(crank_big[m][n] for m in range(-n, n + 1)) != p.coeff(n)
+        if sum(crank_big[m][n] for m in range(-n, n + 1)) != p[n]
     )
     yield ("crank marginals equal p(n)", bad == 0, f"n <= {MARGINAL_N}")
 

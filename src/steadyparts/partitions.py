@@ -22,7 +22,8 @@ Independent routes are kept as oracles for the tests: the chain
 p -> c = p/(q^2;q^2) -> G = c/(q;q) of pentagonal divisions
 (``build_c_table``, ``g_values_via_chain``), and dense series inversion for
 c (``c_values_via_inversion``, which ``verify`` uses).  p is checked against
-Euler's identity (q;q)_inf * P(q) = 1 through ``series.mul``.
+Euler's identity (q;q)_inf * P(q) = 1 through ``series.mul``.  Every table
+but G's reader is a tuple, a ``series.CoefficientTable``.
 """
 
 import math
@@ -43,7 +44,7 @@ def build_c_table(N: int) -> CoefficientTable:
     """Cubic partition numbers up to N: the p table divided by (q^2;q^2)_inf."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    return CoefficientTable(divide_by_euler(list(build_p_table(N).values()), 2))
+    return CoefficientTable(divide_by_euler(list(build_p_table(N)), 2))
 
 
 class HalfOrderG(Sequence):
@@ -97,7 +98,7 @@ def build_g_table(N: int) -> HalfOrderG:
     if N < 0:
         raise ValueError("N must be nonnegative")
     half = [0] * (N // 2 + 1)
-    half[::2] = build_p_table(N // 4).values()
+    half[::2] = build_p_table(N // 4)
     for _ in range(3):
         divide_by_phi(half)
     return HalfOrderG(half, N + 1)
@@ -126,7 +127,7 @@ def g_table_bytes(N: int) -> int:
 
 def g_values_via_chain(N: int) -> CoefficientTable:
     """Independent path: G as the c table divided by (q;q)_inf once more."""
-    return CoefficientTable(divide_by_euler(list(build_c_table(N).values()), 1))
+    return CoefficientTable(divide_by_euler(list(build_c_table(N)), 1))
 
 
 def c_values_via_inversion(N: int) -> CoefficientTable:

@@ -13,10 +13,22 @@ imported where --format json needs it, to keep it out of the other formats.
 
 import math
 import sys
+from itertools import islice
 
 from . import bipartite, crank, partitions
 from .asymptotics import asym_D, asym_pi
 from .formatting import ratio_string, sci_from_int, sci_from_log
+
+
+def _print_json(rows):
+    """Print `rows` as json.dump(rows, indent=2) would, then a newline, in
+    batches of the encoder's small chunks: each write may be a system call."""
+    import json
+
+    chunks = json.JSONEncoder(indent=2).iterencode(rows)
+    while batch := list(islice(chunks, 4096)):
+        sys.stdout.write("".join(batch))
+    print()
 
 
 def _table1_rows(l_values, guard):
@@ -52,10 +64,7 @@ def table1(args, guard):
         for r in rows:
             print(f"{r['L']},{r['pi_sci']},{r['A_sci']},{r['ratio']}")
     elif args.fmt == "json":
-        import json
-
-        json.dump(rows, sys.stdout, indent=2)
-        print()
+        _print_json(rows)
     else:
         for r in rows:
             kind = "diagonal " if r["m"] == r["n"] else "off-diag "
@@ -109,10 +118,7 @@ def crank_row(args, guard):
         for m, v in values:
             print(f"{m},{v}")
     elif args.fmt == "json":
-        import json
-
-        json.dump([{"m": m, "M": str(v)} for m, v in values], sys.stdout, indent=2)
-        print()
+        _print_json([{"m": m, "M": str(v)} for m, v in values])
     else:
         for m, v in values:
             print(f"M({m},{n}) = {v}")

@@ -1,12 +1,12 @@
 """Truncated power series in q over Python's arbitrary-precision integers.
 
-``CoefficientTable`` is a series truncated (inclusively) at a fixed order;
-every table the package builds is one, except G, which ``partitions`` reads
-through a table of half its order.  ``theta_coefficient`` is the fast
+A series truncated (inclusively) at order N is the tuple of its N + 1
+coefficients, a ``CoefficientTable``; readers take any sequence indexed from
+0.  Every table the package builds is one, except G, which ``partitions``
+reads through a table of half its order.  ``theta_coefficient`` is the fast
 path's one short sum per cell: a coefficient of a table times the partial
 theta series sum_l (-1)^l q^(l(l+1)/2 + l s), which gives pi and D over G
-and the crank counts M over the p table.  It reads its series only by
-index, so G's reader serves as well as a tuple.
+and the crank counts M over the p table.
 
 Two classical series have a sparse support: Euler's pentagonal number
 theorem puts the terms of (q^s;q^s)_inf at s times the generalized
@@ -23,37 +23,30 @@ puts those of phi(-q) at the squares.  They feed two routes:
   ``crank`` takes its 1/(q;q)_inf factor from them.
 
 Every coefficient is a plain Python int; no floats enter this module.
-Tables are immutable after construction and safe to share across threads.
+Tables are immutable and safe to share across threads.
 """
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 
 
-class CoefficientTable:
-    """a(n) for 0 <= n <= max_index of a truncated series; the accessor is
-    total below: a(n < 0) = 0."""
+class CoefficientTable(tuple):
+    """a(0..N) of a series truncated at order N, equal to the plain tuple.
 
-    __slots__ = ("coeffs",)
+    Its two members serve only bench/layers.py's count hooks: ``table_size``
+    calls ``.values()`` on ``build_p_table``'s and ``build_c_table``'s
+    results, and ``product_terms`` reads ``.coeffs`` on ``invert``'s first
+    argument.  Both are deleted with ROADMAP item 1, as ``cli.main`` is.
+    """
 
-    def __init__(self, coeffs: Iterable[int]):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a series needs at least a constant term")
-
-    @property
-    def max_index(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if n > self.max_index:
-            raise IndexError(f"coefficient {n} beyond table max index {self.max_index}")
-        return self.coeffs[n]
+    __slots__ = ()
 
     def values(self) -> tuple:
-        return self.coeffs
+        return self
+
+    @property
+    def coeffs(self) -> tuple:
+        return self
 
 
 def theta_coefficient(values, k: int, s: int) -> int:
@@ -150,38 +143,39 @@ def divide_by_phi(coeffs: list) -> list:
     return _divide_sparse(coeffs, _square_offsets(len(coeffs) - 1))
 
 
-def mul(a: CoefficientTable, b: CoefficientTable) -> CoefficientTable:
-    """Schoolbook product truncated at min(a.max_index, b.max_index).
+def mul(a: Sequence[int], b: Sequence[int]) -> CoefficientTable:
+    """Schoolbook product truncated at the order of the shorter factor.
 
     Zero coefficients of `a` are skipped; the series fed through here are
     frequently sparse (pentagonal-number supports).
     """
-    n = min(a.max_index, b.max_index)
-    bc = b.coeffs
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
+    n = min(len(a), len(b))
+    # slices are plain tuples, which index faster than a tuple subclass
+    bc = b[:n]
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
         if ai:
-            for j in range(n - i + 1):
+            for j in range(n - i):
                 bj = bc[j]
                 if bj:
                     out[i + j] += ai * bj
     return CoefficientTable(out)
 
 
-def invert(a: CoefficientTable) -> CoefficientTable:
-    """Multiplicative inverse by the triangular recurrence.
+def invert(a: Sequence[int]) -> CoefficientTable:
+    """Multiplicative inverse by the triangular recurrence, to the order of `a`.
 
     Exact over the integers because the constant term must be +-1.
     """
-    ac = a.coeffs
+    ac = a[:]  # a plain tuple, as in mul
     a0 = ac[0]
     if a0 not in (1, -1):
         raise ValueError(f"constant term must be +-1 to invert over Z, got {a0}")
-    n = a.max_index
-    support = [k for k in range(1, n + 1) if ac[k]]
-    b = [0] * (n + 1)
+    n = len(ac)
+    support = [k for k in range(1, n) if ac[k]]
+    b = [0] * n
     b[0] = a0  # 1/a0 == a0 when a0 is +-1
-    for j in range(1, n + 1):
+    for j in range(1, n):
         s = 0
         for k in support:
             if k > j:

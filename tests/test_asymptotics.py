@@ -67,7 +67,7 @@ class TestConstants:
 
 class TestAsymP:
     def test_ratio_at_100(self, p5000):
-        assert 0.9 <= ratio(p5000.coeff(100), asym_p(100)) <= 1.1
+        assert 0.9 <= ratio(p5000[100], asym_p(100)) <= 1.1
 
     def test_monotone(self):
         logs = [asym_p(n) for n in range(10, 1001)]
@@ -75,15 +75,15 @@ class TestAsymP:
 
     def test_ratio_at_5000(self, p5000):
         # leading Hardy-Ramanujan term at n = 5000; deviation is ~0.63%
-        assert abs(ratio(p5000.coeff(5000), asym_p(5000)) - 1) < 0.007
+        assert abs(ratio(p5000[5000], asym_p(5000)) - 1) < 0.007
 
 
 class TestAsymC:
     def test_ratio_at_1000(self, c2000):
-        assert 0.9 <= ratio(c2000.coeff(1000), asym_c(1000)) <= 1.1
+        assert 0.9 <= ratio(c2000[1000], asym_c(1000)) <= 1.1
 
     def test_ratio_improves(self, c2000):
-        devs = [abs(ratio(c2000.coeff(n), asym_c(n)) - 1) for n in (100, 500, 1000, 2000)]
+        devs = [abs(ratio(c2000[n], asym_c(n)) - 1) for n in (100, 500, 1000, 2000)]
         assert all(a > b for a, b in zip(devs, devs[1:]))
 
     def test_grows_faster_than_p(self):

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import os
 import signal
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -154,7 +156,7 @@ class TestGuard:
         assert held <= g_table_bytes(10000) <= 1.5 * held
 
     def test_table_estimate_bounds_p_from_above(self):
-        values = build_p_table(20000).values()
+        values = build_p_table(20000)
         held = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
         assert held <= p_table_bytes(20000) <= 1.5 * held
 
@@ -164,7 +166,7 @@ class TestGuard:
         n = 5000
         p = build_p_table(n)
         row = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
-        held = sys.getsizeof(p.values()) + sum(map(sys.getsizeof, p.values()))
+        held = sys.getsizeof(p) + sum(map(sys.getsizeof, p))
         held += sys.getsizeof(row) + sum(sys.getsizeof(t) + sys.getsizeof(t[0]) + sys.getsizeof(t[1]) for t in row)
         monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(held))
         assert run_cli(["crank-row", "--n", str(n)]).code == 2
@@ -304,6 +306,26 @@ class TestCrankRow:
     def test_row_zero(self, run_cli):
         res = run_cli(["crank-row", "--n", "0"])
         assert "= 1" in res.stdout
+
+    def test_json_is_written_in_batches(self):
+        # each write of an unbuffered stdout is a system call; json.dump
+        # wrote about 48000 chunks here, one at a time
+        from steadyparts.cli import cli
+
+        class CountingStream(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = CountingStream()
+        with redirect_stdout(out):
+            cli(["crank-row", "--n", "2000", "--format", "json"])
+        p = build_p_table(2000)
+        rows = [{"m": m, "M": str(crank_value_direct(m, 2000, p))} for m in range(-2000, 2001)]
+        assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
+        assert out.writes <= 20
 
 
 class TestAsym:
@@ -506,6 +528,23 @@ class TestProcess:
             [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=self.env(), check=True,
         ).stdout
         return set(out.splitlines()[-1].split())
+
+    def test_bench_tracer_counts_through_the_tables(self):
+        # bench/tracer.py's count hooks read build_p_table's and
+        # build_c_table's tables through `.values()` and invert's argument
+        # through `.coeffs`; no bytecode is written, for a stray
+        # bench/__pycache__ moves the benchmark's RSS
+        proc = subprocess.run(
+            [sys.executable, "bench/tracer.py", "verify", "--deep"], cwd=Path(SRC).parent,
+            capture_output=True, text=True, timeout=120, env={**self.env(), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "all checks passed"
+        marker, _, record = proc.stderr.splitlines()[-1].partition(" ")
+        assert marker == "@@steadyparts-spans"
+        counts = [span[5] for span in json.loads(record)["spans"] if span[5]]
+        for name in ("partitions.table_entries", "series.product_terms"):
+            assert any(c.get(name, 0) > 0 for c in counts), name
 
     def test_imports_only_the_stdlib(self):
         out = self.modules_after("import sys, steadyparts.cli")

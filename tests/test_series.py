@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steadyparts.series import CoefficientTable, euler_product, invert, mul
+from steadyparts.series import euler_product, invert, mul
 
 
 def expand_finite_product(factors, order):
@@ -38,61 +38,59 @@ def count_partitions(n):
 
 
 def one(order):
-    return CoefficientTable([1] + [0] * order)
+    return (1,) + (0,) * order
 
 
 class TestMul:
     def test_binomial_square(self):
-        a = CoefficientTable([1, 1, 0])
-        assert mul(a, a).coeffs == (1, 2, 1)
+        a = (1, 1, 0)
+        assert mul(a, a) == (1, 2, 1)
 
     def test_identity(self):
-        a = CoefficientTable([3, -1, 4, 1, -5])
-        assert mul(a, one(4)).coeffs == a.coeffs
+        a = (3, -1, 4, 1, -5)
+        assert mul(a, one(4)) == a
 
     def test_min_order_truncation(self):
-        a = CoefficientTable([1, 1, 1, 1, 1])
-        b = CoefficientTable([1, 1])
-        assert mul(a, b).max_index == 1
+        assert mul([1, 1, 1, 1, 1], [1, 1]) == (1, 2)
 
     def test_p_series_times_pentagonal_is_one(self):
         pent = euler_product(1, 50)
         p_series = invert(pent)
-        assert mul(p_series, pent).coeffs == one(50).coeffs
+        assert mul(p_series, pent) == one(50)
 
 
 class TestInvert:
     def test_geometric(self):
-        assert invert(CoefficientTable([1, -1, 0, 0])).coeffs == (1, 1, 1, 1)
+        assert invert((1, -1, 0, 0)) == (1, 1, 1, 1)
 
     def test_involution(self):
-        a = CoefficientTable([1, 5, -2, 7, 0, 3])
-        assert invert(invert(a)).coeffs == a.coeffs
+        a = (1, 5, -2, 7, 0, 3)
+        assert invert(invert(a)) == a
 
     def test_negative_unit_constant(self):
-        a = CoefficientTable([-1, 2, 3])
-        assert mul(a, invert(a)).coeffs == one(2).coeffs
+        a = (-1, 2, 3)
+        assert mul(a, invert(a)) == one(2)
 
     def test_rejects_nonunit_constant(self):
         with pytest.raises(ValueError):
-            invert(CoefficientTable([2, 1]))
+            invert((2, 1))
 
     def test_partition_coefficients(self):
         p_series = invert(euler_product(1, 30))
-        assert p_series.coeff(5) == count_partitions(5) == 7
+        assert p_series[5] == count_partitions(5) == 7
         for n in range(11):
-            assert p_series.coeff(n) == count_partitions(n)
+            assert p_series[n] == count_partitions(n)
 
 
 class TestEulerProduct:
     def test_step_one_order_five(self):
-        assert euler_product(1, 5).coeffs == (1, -1, -1, 0, 0, 1)
+        assert euler_product(1, 5) == (1, -1, -1, 0, 0, 1)
 
     def test_step_two_order_three(self):
-        assert euler_product(2, 3).coeffs == (1, 0, -1, 0)
+        assert euler_product(2, 3) == (1, 0, -1, 0)
 
     def test_order_zero(self):
-        assert euler_product(1, 0).coeffs == (1,)
+        assert euler_product(1, 0) == (1,)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
@@ -101,37 +99,37 @@ class TestEulerProduct:
     @pytest.mark.parametrize("step,order", [(1, 40), (2, 40), (3, 50)])
     def test_matches_finite_product(self, step, order):
         factors = [step * j for j in range(1, order // step + 1)]
-        assert list(euler_product(step, order).coeffs) == expand_finite_product(factors, order)
+        assert list(euler_product(step, order)) == expand_finite_product(factors, order)
 
     def test_pentagonal_number_theorem(self):
         s = euler_product(1, 200)
         pents = generalized_pentagonal_numbers(200)
         for n in range(1, 201):
-            assert abs(s.coeff(n)) <= 1
-            assert (s.coeff(n) != 0) == (n in pents)
+            assert abs(s[n]) <= 1
+            assert (s[n] != 0) == (n in pents)
 
 
-small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=6, max_size=6).map(CoefficientTable)
+small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=6, max_size=6).map(tuple)
 
 
 class TestAlgebraicProperties:
     @given(small_series, small_series)
     @settings(max_examples=60, deadline=None)
     def test_mul_commutative(self, a, b):
-        assert mul(a, b).coeffs == mul(b, a).coeffs
+        assert mul(a, b) == mul(b, a)
 
     @given(small_series, small_series, small_series)
     @settings(max_examples=60, deadline=None)
     def test_mul_associative(self, a, b, c):
-        assert mul(mul(a, b), c).coeffs == mul(a, mul(b, c)).coeffs
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=5, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_invert_is_right_inverse(self, tail):
-        a = CoefficientTable([1] + tail)
-        assert mul(a, invert(a)).coeffs == one(a.max_index).coeffs
+        a = (1, *tail)
+        assert mul(a, invert(a)) == one(len(tail))
 
     @pytest.mark.parametrize("order", [1, 17, 100, 200])
     def test_invert_at_large_orders(self, order):
         a = euler_product(1, order)
-        assert mul(a, invert(a)).coeffs == one(order).coeffs
+        assert mul(a, invert(a)) == one(order)
