@@ -23,8 +23,7 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
                                function 1/((x;xy)(x^2y^2;x^2y^2)(y;xy));
 * ``enumerate_steady``      -- the number of part-pair sequences satisfying
                                min(a_i, b_i) >= max(a_{i+1}, b_{i+1}), by a
-                               memoised recursion over the first pair;
-                               ``steady_partitions`` lists them.
+                               memoised recursion over the first pair.
 
 The oracles slice the p and c tuples; none keeps a table alive between calls.
 """
@@ -130,25 +129,6 @@ def d_value_by_crank(m: int, n: int, c: Sequence[int], M) -> int:
     return sum(map(mul, c[L::-1], row[base:n + 1]))
 
 
-def is_steady(parts: Sequence[tuple[int, int]]) -> bool:
-    """True when `parts` is a sequence of part-pairs (a_i, b_i) != (0, 0)
-    with nonnegative components and min(a_i, b_i) >= max(a_{i+1}, b_{i+1})."""
-    if any(a < 0 or b < 0 or (a, b) == (0, 0) for a, b in parts):
-        return False
-    return all(min(a1, b1) >= max(a2, b2) for (a1, b1), (a2, b2) in zip(parts, parts[1:]))
-
-
-class EnumerationCapExceeded(ValueError):
-    pass
-
-
-def _check_weight(m: int, n: int, cap: int):
-    if m < 0 or n < 0:
-        raise ValueError("steady pair sequences take nonnegative weights")
-    if m + n > cap:
-        raise EnumerationCapExceeded(f"total weight {m + n} exceeds the enumeration cap {cap}")
-
-
 def enumerate_steady(m: int, n: int) -> int:
     """The number of steadily decreasing pair sequences of total weight (m, n).
 
@@ -156,30 +136,11 @@ def enumerate_steady(m: int, n: int) -> int:
     largest box ``verify`` checks, and keeps the memo's recursion, one frame
     per unit of weight, well inside Python's recursion limit.
     """
-    _check_weight(m, n, 2 * PRODUCT_CAP)
+    if m < 0 or n < 0:
+        raise ValueError("steady pair sequences take nonnegative weights")
+    if m + n > 2 * PRODUCT_CAP:
+        raise ValueError(f"total weight {m + n} exceeds the enumeration cap {2 * PRODUCT_CAP}")
     return _steady_counts(m, n)[-1]
-
-
-def steady_partitions(m: int, n: int) -> list[tuple]:
-    """List the steadily decreasing pair sequences of total weight (m, n)
-    up to 40, each a tuple of (a, b) pairs.
-
-    At each level we choose a pair (a, b) != (0, 0) with max(a, b) bounded
-    by the min of the previous pair; individual components may be zero.
-    The empty sequence is the unique witness for (0, 0).
-    """
-    _check_weight(m, n, 40)
-
-    def walk(rm: int, rn: int, bound: int):
-        if rm == 0 and rn == 0:
-            yield ()
-        for a in range(min(bound, rm) + 1):
-            for b in range(min(bound, rn) + 1):
-                if a or b:
-                    for rest in walk(rm - a, rn - b, min(a, b)):
-                        yield ((a, b),) + rest
-
-    return list(walk(m, n, max(m, n)))
 
 
 @cache
@@ -207,10 +168,6 @@ def _steady_counts(rm: int, rn: int) -> tuple:
     return tuple(counts)
 
 
-class ProductCapExceeded(ValueError):
-    pass
-
-
 # largest box bound gf_table expands
 PRODUCT_CAP = 60
 
@@ -227,7 +184,7 @@ def gf_table(M: int, N: int) -> tuple:
     if M < 0 or N < 0:
         raise ValueError("box bounds must be nonnegative")
     if max(M, N) > PRODUCT_CAP:
-        raise ProductCapExceeded(f"box bound {max(M, N)} exceeds the product cap {PRODUCT_CAP}")
+        raise ValueError(f"box bound {max(M, N)} exceeds the product cap {PRODUCT_CAP}")
     g = [[0] * (N + 1) for _ in range(M + 1)]
     g[0][0] = 1
     factors = [(j + 1, j) for j in range(M)] + [(j, j + 1) for j in range(N)]

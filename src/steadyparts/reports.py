@@ -110,7 +110,12 @@ def crank_row(args, guard):
     # slot each, 92 bytes.  M(m, n) <= p(n - |m|), as M(m, n) is at most the
     # count of crank >= |m|, an alternating sum of falling p values led by
     # p(n - |m|); so the row's ints take at most two more p tables
-    guard.require(3 * partitions.p_table_bytes(n) + 92 * (2 * n + 1))
+    nbytes = 3 * partitions.p_table_bytes(n) + 92 * (2 * n + 1)
+    if args.fmt == "json":
+        # and a dict per pair: 232 bytes (184 from Python 3.11), a list slot,
+        # and M as a string, a 49-byte header and at most log10 p(n) + 1 digits
+        nbytes += (2 * n + 1) * (290 + math.pi * math.sqrt(2 * n / 3) / math.log(10))
+    guard.require(math.ceil(nbytes))
     p = partitions.build_p_table(n)
     values = [(m, crank.crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
     if args.fmt == "csv":

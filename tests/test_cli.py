@@ -1,4 +1,5 @@
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -161,17 +162,22 @@ class TestGuard:
         assert held <= p_table_bytes(20000) <= 1.5 * held
 
     def test_crank_row_estimate_bounds_what_it_holds(self, run_cli, monkeypatch):
-        # crank-row holds the p table and its row of (m, M(m, n)) pairs; the
-        # guard's estimate lies between that and half as much again
+        # crank-row holds the p table and its row of (m, M(m, n)) pairs, and
+        # with --format json a dict and a string of M per pair; the guard's
+        # estimate lies between that and half as much again
         n = 5000
         p = build_p_table(n)
         row = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
         held = sys.getsizeof(p) + sum(map(sys.getsizeof, p))
         held += sys.getsizeof(row) + sum(sys.getsizeof(t) + sys.getsizeof(t[0]) + sys.getsizeof(t[1]) for t in row)
-        monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(held))
-        assert run_cli(["crank-row", "--n", str(n)]).code == 2
-        monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(int(1.5 * held)))
-        assert run_cli(["crank-row", "--n", str(n)]).code == 0
+        dicts = [{"m": m, "M": str(v)} for m, v in row]
+        json_held = held + sys.getsizeof(dicts) + sum(sys.getsizeof(d) + sys.getsizeof(d["M"]) for d in dicts)
+        for fmt, nbytes in (("text", held), ("json", json_held)):
+            args = ["crank-row", "--n", str(n), "--format", fmt]
+            monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(nbytes))
+            assert run_cli(args).code == 2, fmt
+            monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(int(1.5 * nbytes)))
+            assert run_cli(args).code == 0, fmt
 
     def test_crank_row_guard_sizes_the_row(self, run_cli, monkeypatch):
         # 2 MB holds the p table to 20000 (~1.8 MB), not the row of 40001 values
@@ -529,7 +535,7 @@ class TestProcess:
         ).stdout
         return set(out.splitlines()[-1].split())
 
-    def test_bench_tracer_counts_through_the_tables(self):
+    def test_bench_tracer_counts_through_the_tables(self, monkeypatch):
         # bench/tracer.py's count hooks read build_p_table's and
         # build_c_table's tables through `.values()` and invert's argument
         # through `.coeffs`; no bytecode is written, for a stray
@@ -540,11 +546,22 @@ class TestProcess:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "all checks passed"
-        marker, _, record = proc.stderr.splitlines()[-1].partition(" ")
+        marker, _, line = proc.stderr.splitlines()[-1].partition(" ")
         assert marker == "@@steadyparts-spans"
-        counts = [span[5] for span in json.loads(record)["spans"] if span[5]]
+        record = json.loads(line)
+        counts = [span[5] for span in record["spans"] if span[5]]
         for name in ("partitions.table_entries", "series.product_terms"):
             assert any(c.get(name, 0) > 0 for c in counts), name
+        # every per-layer metric BENCHMARK.json declares keeps a timed function
+        # that resolves, as bench/selftest.py requires: deleting a layer's
+        # only resolving function drops its metric
+        root = Path(SRC).parent
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("bench_layers", root / "bench" / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        declared = {metric["name"] for metric in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]}
+        assert layers.present_metrics({tuple(x) for x in record["resolved"]}) == declared
 
     def test_imports_only_the_stdlib(self):
         out = self.modules_after("import sys, steadyparts.cli")
@@ -650,12 +667,12 @@ class TestProcess:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="the memory cap reads /proc/self/statm")
     def test_memory_budget_caps_the_process(self):
-        # the guard sizes the p table and the row at n = 20000, 9.1 MB, and
-        # lets a 10 MB budget through; --format json builds 40001 dicts, which
-        # with the json module peak at about 34 MB.  No setrlimit here: the
-        # entry point caps its own address space
+        # the guard sizes no verify run, and verify --deep --box 60 grows the
+        # address space by 4-6 MB (Python 3.10-3.13): a 3 MB budget stops it
+        # at the cap.  No setrlimit here: the entry point caps its own
+        # address space
         proc = self.run_module(
-            "crank-row", "--n", "20000", "--format", "json", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(10 ** 7)},
+            "verify", "--deep", "--box", "60", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(3 * 10 ** 6)},
         )
         assert proc.returncode == 2
         assert proc.stdout == b""
@@ -685,10 +702,15 @@ class TestProcess:
 
 
 def test_every_public_name_resolves():
-    # the package's names resolve on first use, through one name -> module map
+    # each function has one name, on the module that defines it; the package
+    # binds only its modules, which load on first use
     import steadyparts
 
-    assert {"pi_value", "build_g_table", "CoefficientTable", "asym_M", "crank_of"} <= set(steadyparts.__all__)
     assert set(steadyparts.__all__) <= set(dir(steadyparts))
-    for name in steadyparts.__all__:
-        assert getattr(steadyparts, name) is not None
+    for module, name in [
+        ("bipartite", "pi_value"), ("partitions", "build_g_table"), ("series", "CoefficientTable"),
+        ("asymptotics", "asym_M"), ("crank", "crank_of"), ("oracles", "verify"), ("reports", "table1"),
+    ]:
+        assert module in steadyparts.__all__
+        assert getattr(getattr(steadyparts, module), name) is not None
+        assert not hasattr(steadyparts, name)
