@@ -68,17 +68,20 @@ def asym_M(k: int, ell: int) -> float:
     )
 
 
+def asym_D_applies(m: int, n: int) -> bool:
+    """Whether asym_D(m, n) is defined: min(m, 2n - m) >= 1 with m <= 2n, that is 1 <= m < 2n."""
+    return 1 <= m < 2 * n
+
+
 def asym_D(m: int, n: int) -> float:
-    """Uniform first-difference asymptotic, valid for 1 <= m <= 2n with
-    mu = min(m, 2n - m) >= 1:
+    """Uniform first-difference asymptotic, for ``asym_D_applies(m, n)``,
+    with mu = min(m, 2n - m):
 
     D(m, n) ~ (5c/96) e^{c sqrt(mu)} / mu^2 (1 + e^{-c|n-m|/(2 sqrt(mu))})^{-2}.
     """
-    if not 1 <= m <= 2 * n:
-        raise ValueError("asym_D requires 1 <= m <= 2n")
+    if not asym_D_applies(m, n):
+        raise ValueError("asym_D requires 1 <= m < 2n")
     mu = min(m, 2 * n - m)
-    if mu < 1:
-        raise ValueError("asym_D requires min(m, 2n - m) >= 1")
     z = C * abs(n - m) / (2.0 * math.sqrt(mu))
     return (
         math.log(5.0 * C / 96.0)

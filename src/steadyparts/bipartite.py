@@ -29,7 +29,6 @@ The oracles slice the p and c tuples; none keeps a table alive between calls.
 """
 
 from collections.abc import Sequence
-from functools import cache
 from operator import add, mul, sub
 
 from .series import theta_coefficient
@@ -132,40 +131,46 @@ def d_value_by_crank(m: int, n: int, c: Sequence[int], M) -> int:
 def enumerate_steady(m: int, n: int) -> int:
     """The number of steadily decreasing pair sequences of total weight (m, n).
 
-    The cap on m + n is twice ``PRODUCT_CAP``: it admits the corner of the
-    largest box ``verify`` checks, and keeps the memo's recursion, one frame
-    per unit of weight, well inside Python's recursion limit.
+    Entry B of _STEADY[rm][rn] counts those of weight (rm, rn) whose pairs
+    have max(a, b) <= B: entry B - 1 plus each first pair with max(a, b) = B
+    (a = B with b <= B, or b = B with a < B) followed by a sequence of the
+    rest of the weight, read at the clamped bound.  The box below (m, n) is
+    filled in ascending rm and rn, in this one frame, and a MemoryError lets
+    the memo go before it leaves: Python 3.11 and 3.13 can raise SystemError
+    in place of a MemoryError that finds no memory to unwind or call through.
+    m + n is capped at twice ``PRODUCT_CAP``, the largest box ``verify`` checks.
     """
     if m < 0 or n < 0:
         raise ValueError("steady pair sequences take nonnegative weights")
     if m + n > 2 * PRODUCT_CAP:
         raise ValueError(f"total weight {m + n} exceeds the enumeration cap {2 * PRODUCT_CAP}")
-    return _steady_counts(m, n)[-1]
+    try:
+        while len(_STEADY) <= m:
+            _STEADY.append([])
+        for rm in range(m + 1):
+            row = _STEADY[rm]
+            for rn in range(len(row), n + 1):
+                total = 1 if rm == 0 and rn == 0 else 0
+                counts = [total]
+                for bound in range(1, max(rm, rn) + 1):
+                    if bound <= rm:
+                        for b in range(min(bound, rn) + 1):
+                            rest = _STEADY[rm - bound][rn - b]
+                            total += rest[min(b, len(rest) - 1)]
+                    if bound <= rn:
+                        for a in range(min(bound - 1, rm) + 1):
+                            rest = _STEADY[rm - a][rn - bound]
+                            total += rest[min(a, len(rest) - 1)]
+                    counts.append(total)
+                row.append(tuple(counts))
+    except MemoryError:
+        _STEADY.clear()
+        raise
+    return _STEADY[m][n][-1]
 
 
-@cache
-def _steady_counts(rm: int, rn: int) -> tuple:
-    """Running counts over the bound: entry B is the number of steadily
-    decreasing pair sequences of total weight (rm, rn) whose pairs have
-    max(a, b) <= B, for B = 0..max(rm, rn).  A larger bound admits no more
-    pairs, so a caller clamps its bound to the last entry.
-
-    Entry B adds to entry B - 1 the shell of first pairs with max(a, b) = B:
-    a = B with b <= B, and b = B with a < B.  One memo serves every call,
-    and a whole ``verify`` box reuses it."""
-    total = 1 if rm == 0 and rn == 0 else 0
-    counts = [total]
-    for bound in range(1, max(rm, rn) + 1):
-        if bound <= rm:
-            for b in range(min(bound, rn) + 1):
-                rest = _steady_counts(rm - bound, rn - b)
-                total += rest[min(b, len(rest) - 1)]
-        if bound <= rn:
-            for a in range(min(bound - 1, rm) + 1):
-                rest = _steady_counts(rm - a, rn - bound)
-                total += rest[min(a, len(rest) - 1)]
-        counts.append(total)
-    return tuple(counts)
+# enumerate_steady's memo, which every call and a whole verify box share
+_STEADY: list[list[tuple]] = []
 
 
 # largest box bound gf_table expands

@@ -19,7 +19,7 @@ import threading
 import types
 
 from . import bipartite, oracles, reports
-from .asymptotics import asym_D, asym_pi
+from .asymptotics import asym_D, asym_D_applies, asym_pi
 from .formatting import sci_from_log
 
 DEFAULT_TIME_LIMIT_S = 30 * 60
@@ -103,7 +103,7 @@ def asym(args, guard):
     """Asymptotic main terms for pi(m,n) and D(m,n)."""
     m, n = args.m, args.n
     print(f"asym_pi({m},{n}) = {sci_from_log(asym_pi(m, n))}")
-    if 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
+    if asym_D_applies(m, n):
         print(f"asym_D({m},{n})  = {sci_from_log(asym_D(m, n))}")
     else:
         print(f"asym_D({m},{n})  = n/a (requires 1 <= m <= 2n with min(m, 2n-m) >= 1)")

@@ -13,22 +13,11 @@ imported where --format json needs it, to keep it out of the other formats.
 
 import math
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import bipartite, crank, partitions
-from .asymptotics import asym_D, asym_pi
+from .asymptotics import asym_D, asym_D_applies, asym_pi
 from .formatting import ratio_string, sci_from_int, sci_from_log
-
-
-def _print_json(rows):
-    """Print `rows` as json.dump(rows, indent=2) would, then a newline, in
-    batches of the encoder's small chunks: each write may be a system call."""
-    import json
-
-    chunks = json.JSONEncoder(indent=2).iterencode(rows)
-    while batch := list(islice(chunks, 4096)):
-        sys.stdout.write("".join(batch))
-    print()
 
 
 def _table1_rows(l_values, guard):
@@ -64,7 +53,9 @@ def table1(args, guard):
         for r in rows:
             print(f"{r['L']},{r['pi_sci']},{r['A_sci']},{r['ratio']}")
     elif args.fmt == "json":
-        _print_json(rows)
+        import json
+
+        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
     else:
         for r in rows:
             kind = "diagonal " if r["m"] == r["n"] else "off-diag "
@@ -83,7 +74,7 @@ def compute(args, guard):
     guard.require(partitions.g_table_bytes(mu))
     G = partitions.build_g_table(mu)
     v = bipartite.pi_value(m, n, G)
-    a = asym_pi(m, n) if v > 0 and mu >= 1 else None
+    a = asym_pi(m, n) if mu >= 1 else None
     print(f"pi({m},{n}) = {v}")
     if a is not None:
         print(
@@ -95,7 +86,7 @@ def compute(args, guard):
         return
     d = bipartite.d_value(m, n, G)
     print(f"D({m},{n}) = {d}")
-    if d > 0 and 1 <= m <= 2 * n and min(m, 2 * n - m) >= 1:
+    if d > 0 and asym_D_applies(m, n):
         ad = asym_D(m, n)
         print(
             f"  sci = {sci_from_int(d)}   asym = {sci_from_log(ad)}"
@@ -103,27 +94,32 @@ def compute(args, guard):
         )
 
 
+# lines to a write: each write of an unbuffered stdout is a system call
+BATCH = 1000
+# crank-row's (head, row, separator, tail) in each format; the last row ends
+# in a newline.  json is json.dump(rows, indent=2) and a newline for the rows
+# {"m": m, "M": str(M)}: m is an int and M digits, so nothing is escaped
+ROW_FORMATS = {
+    "text": ("", "M({m},{n}) = {v}", "\n", ""),
+    "csv": ("m,M\n", "{m},{v}", "\n", ""),
+    "json": ("[\n", '  {{\n    "m": {m},\n    "M": "{v}"\n  }}', ",\n", "]\n"),
+}
+
+
 def crank_row(args, guard):
     """Crank counts M(m, n) for m = -n .. n at a single n."""
     n = args.n
-    # the row is 2n + 1 pairs (m, M(m, n)): a 2-tuple, the int m and a list
-    # slot each, 92 bytes.  M(m, n) <= p(n - |m|), as M(m, n) is at most the
-    # count of crank >= |m|, an alternating sum of falling p values led by
-    # p(n - |m|); so the row's ints take at most two more p tables
-    nbytes = 3 * partitions.p_table_bytes(n) + 92 * (2 * n + 1)
-    if args.fmt == "json":
-        # and a dict per pair: 232 bytes (184 from Python 3.11), a list slot,
-        # and M as a string, a 49-byte header and at most log10 p(n) + 1 digits
-        nbytes += (2 * n + 1) * (290 + math.pi * math.sqrt(2 * n / 3) / math.log(10))
-    guard.require(math.ceil(nbytes))
+    head, row, sep, tail = ROW_FORMATS[args.fmt]
+    # it holds the p table and one batch of lines: each a string (a 49-byte
+    # header), a list slot and its characters twice more, in the join and its
+    # encoding.  A value is -p(n) <= M(m, n) <= p(n) < e^(pi sqrt(2n/3))
+    longest = len(row.format(m=-n, n=n, v="")) + len(sep) + 2 + math.pi * math.sqrt(2 * n / 3) / math.log(10)
+    guard.require(partitions.p_table_bytes(n) + math.ceil(BATCH * (57 + 3 * longest)))
     p = partitions.build_p_table(n)
-    values = [(m, crank.crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
-    if args.fmt == "csv":
-        print("m,M")
-        for m, v in values:
-            print(f"{m},{v}")
-    elif args.fmt == "json":
-        _print_json([{"m": m, "M": str(v)} for m, v in values])
-    else:
-        for m, v in values:
-            print(f"M({m},{n}) = {v}")
+    rows = (
+        row.format(m=m, n=n, v=crank.crank_value_direct(m, n, p)) + (sep if m < n else "\n")
+        for m in range(-n, n + 1)
+    )
+    lines = chain((head,), rows, (tail,))
+    while batch := list(islice(lines, BATCH)):
+        sys.stdout.write("".join(batch))

@@ -196,13 +196,13 @@ class TestDValue:
                     == pi_value_by_alpha(m, n, c_table, alpha200) - below
                 ), (m, n)
 
-    def test_telescoping(self, g_table, c_table, alpha200, crank60):
+    def test_telescoping(self, c_table, alpha200, crank60):
+        # d_value summed over m is pi_value over any sequence G, right or wrong
+        # (see tests/test_series.py), so only the crank route is checked here
         for n in range(61):
-            running = running_crank = 0
+            running_crank = 0
             for m in range(2 * n + 1):
-                running += d_value(m, n, g_table)
                 running_crank += d_value_by_crank(m, n, c_table, crank60)
-                assert running == pi_value(m, n, g_table), (m, n)
                 assert running_crank == pi_value_by_alpha(m, n, c_table, alpha200), (m, n)
 
     def test_three_regimes_match_unified_formula(self, c_table, crank60):

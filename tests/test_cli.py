@@ -1,6 +1,7 @@
 import errno
 import importlib.util
 import io
+import itertools
 import json
 import os
 import signal
@@ -17,7 +18,7 @@ from steadyparts.cli import asym
 from steadyparts.oracles import verify
 from steadyparts.crank import crank_value_direct
 from steadyparts.partitions import build_g_table, build_p_table, g_table_bytes, p_table_bytes
-from steadyparts.reports import compute, crank_row, table1
+from steadyparts.reports import BATCH, compute, crank_row, table1
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the one abort line of an order or argument past a float's range
@@ -162,31 +163,56 @@ class TestGuard:
         assert held <= p_table_bytes(20000) <= 1.5 * held
 
     def test_crank_row_estimate_bounds_what_it_holds(self, run_cli, monkeypatch):
-        # crank-row holds the p table and its row of (m, M(m, n)) pairs, and
-        # with --format json a dict and a string of M per pair; the guard's
-        # estimate lies between that and half as much again
+        # crank-row holds the p table and one batch of BATCH lines: the
+        # strings, their join and its encoding.  The guard's estimate lies
+        # between that, for a batch of the longest lines, and half as much again
         n = 5000
         p = build_p_table(n)
-        row = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
-        held = sys.getsizeof(p) + sum(map(sys.getsizeof, p))
-        held += sys.getsizeof(row) + sum(sys.getsizeof(t) + sys.getsizeof(t[0]) + sys.getsizeof(t[1]) for t in row)
-        dicts = [{"m": m, "M": str(v)} for m, v in row]
-        json_held = held + sys.getsizeof(dicts) + sum(sys.getsizeof(d) + sys.getsizeof(d["M"]) for d in dicts)
-        for fmt, nbytes in (("text", held), ("json", json_held)):
+        table = sys.getsizeof(p) + sum(map(sys.getsizeof, p))
+        for fmt, end in (("text", "\n"), ("csv", "\n"), ("json", "},\n")):
             args = ["crank-row", "--n", str(n), "--format", fmt]
-            monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(nbytes))
+            longest = max(run_cli(args).stdout.split(end), key=len) + end
+            batch = [longest] * BATCH
+            joined = "".join(batch)
+            held = table + sys.getsizeof(batch) + BATCH * sys.getsizeof(longest)
+            held += sys.getsizeof(joined) + sys.getsizeof(joined.encode())
+            monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(held))
             assert run_cli(args).code == 2, fmt
-            monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(int(1.5 * nbytes)))
+            monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(int(1.5 * held)))
             assert run_cli(args).code == 0, fmt
 
     def test_crank_row_guard_sizes_the_row(self, run_cli, monkeypatch):
-        # 2 MB holds the p table to 20000 (~1.8 MB), not the row of 40001 values
+        # 2 MB holds the p table to 20000 (~1.8 MB), not the table and a
+        # batch of 1000 lines of up to 179 characters (~0.6 MB more)
         monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(2 * 10 ** 6))
         res = run_cli(["crank-row", "--n", "20000"])
         assert res.code == 2
         assert res.stderr.startswith("aborted: ")
         assert res.stderr.count("\n") == 1
         assert res.stdout == ""
+
+    def test_time_budget_leaves_the_lines_written(self, run_cli, monkeypatch):
+        # crank-row writes each batch once it is summed: a timer that fires
+        # in the middle of the row leaves a prefix of it on stdout
+        from steadyparts import crank
+
+        full = run_cli(["crank-row", "--n", "2000"]).stdout
+        real = crank.crank_value_direct
+        calls = itertools.count()
+
+        def stalls(m, n, p):
+            if next(calls) == 2500:  # past two batches of lines
+                time.sleep(60)
+            return real(m, n, p)
+
+        monkeypatch.setattr(crank, "crank_value_direct", stalls)
+        monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0.5")
+        res = run_cli(["crank-row", "--n", "2000"])
+        assert res.code == 2
+        assert res.stderr == "aborted: time budget of 0.5s exceeded\n"
+        assert res.stdout.endswith("\n")
+        assert full.startswith(res.stdout)
+        assert 0 < len(res.stdout) < len(full)
 
     def test_compute_time_guard(self, run_cli, monkeypatch):
         monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0")
@@ -315,7 +341,8 @@ class TestCrankRow:
 
     def test_json_is_written_in_batches(self):
         # each write of an unbuffered stdout is a system call; json.dump
-        # wrote about 48000 chunks here, one at a time
+        # wrote about 48000 chunks at n = 2000, one at a time.  Every format
+        # writes the bytes that printing the whole row wrote
         from steadyparts.cli import cli
 
         class CountingStream(io.StringIO):
@@ -325,13 +352,20 @@ class TestCrankRow:
                 self.writes += 1
                 return super().write(text)
 
-        out = CountingStream()
-        with redirect_stdout(out):
-            cli(["crank-row", "--n", "2000", "--format", "json"])
-        p = build_p_table(2000)
-        rows = [{"m": m, "M": str(crank_value_direct(m, 2000, p))} for m in range(-2000, 2001)]
-        assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
-        assert out.writes <= 20
+        for n in (0, 1, 2000):  # M(0, 1) = -1 puts a minus sign in a string of M
+            p = build_p_table(n)
+            row = [(m, crank_value_direct(m, n, p)) for m in range(-n, n + 1)]
+            expected = {
+                "text": "".join(f"M({m},{n}) = {v}\n" for m, v in row),
+                "csv": "m,M\n" + "".join(f"{m},{v}\n" for m, v in row),
+                "json": json.dumps([{"m": m, "M": str(v)} for m, v in row], indent=2) + "\n",
+            }
+            for fmt, text in expected.items():
+                out = CountingStream()
+                with redirect_stdout(out):
+                    cli(["crank-row", "--n", str(n), "--format", fmt])
+                assert out.getvalue() == text, (n, fmt)
+                assert out.writes <= 20, (n, fmt)
 
 
 class TestAsym:
@@ -346,8 +380,7 @@ class TestAsym:
 
 
 class TestHelp:
-    def test_lists_the_commands(self, run_cli, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to this width
+    def test_lists_the_commands(self, run_cli):
         res = run_cli(["--help"])
         assert res.code == 0
         lines = [line.split() for line in res.stdout.splitlines()]
@@ -667,17 +700,21 @@ class TestProcess:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="the memory cap reads /proc/self/statm")
     def test_memory_budget_caps_the_process(self):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS on this platform")
         # the guard sizes no verify run, and verify --deep --box 60 grows the
-        # address space by 4-6 MB (Python 3.10-3.13): a 3 MB budget stops it
-        # at the cap.  No setrlimit here: the entry point caps its own
-        # address space
-        proc = self.run_module(
-            "verify", "--deep", "--box", "60", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(3 * 10 ** 6)},
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        assert proc.stderr.startswith(b"aborted: out of memory")
-        assert proc.stderr.count(b"\n") == 1
+        # address space by 3-4.5 MB (Python 3.10-3.13): these budgets stop it
+        # at the cap, in the box's enumeration, where at 0.5 and 1 MB Python
+        # 3.13 can end in SystemError unless the MemoryError finds memory to
+        # unwind with (see bipartite.enumerate_steady).  No setrlimit here:
+        # the entry point caps its own address space
+        for budget in (500_000, 1_000_000, 2_000_000):
+            proc = self.run_module("verify", "--deep", "--box", "60", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(budget)})
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == b""
+            assert proc.stderr.startswith(b"aborted: out of memory")
+            assert proc.stderr.count(b"\n") == 1
 
     def test_memory_budget_past_any_cap_runs(self):
         # 10^30 bytes is past what setrlimit takes: no cap, and no traceback

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steadyparts.series import euler_product, invert, mul
+from steadyparts.series import euler_product, invert, mul, theta_coefficient
 
 
 def expand_finite_product(factors, order):
@@ -133,3 +133,12 @@ class TestAlgebraicProperties:
     def test_invert_at_large_orders(self, order):
         a = euler_product(1, order)
         assert mul(a, invert(a)) == one(order)
+
+    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=40), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_theta_coefficient_recursion(self, t, s):
+        # K(k, s) = t(k) - K(k - 1 - s, s + 1) for every sequence t.  So
+        # d_value(m, n, G) = K(L, b) - K(L - 1, b + 1) summed over m is
+        # pi_value(m, n, G) for every G: that sum checks nothing about G
+        for k in range(len(t)):
+            assert theta_coefficient(t, k, s) == t[k] - theta_coefficient(t, k - 1 - s, s + 1)
