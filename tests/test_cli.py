@@ -3,6 +3,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import os
 import signal
 import subprocess
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from steadyparts.asymptotics import asym_pi
+from steadyparts.bipartite import pi_value
 from steadyparts.cli import asym
+from steadyparts.formatting import ratio_string, sci_from_int, sci_from_log
 from steadyparts.oracles import verify
 from steadyparts.crank import crank_value_direct
 from steadyparts.partitions import build_g_table, build_p_table, g_table_bytes, p_table_bytes
@@ -35,6 +39,17 @@ PAST_A_FLOAT_ARGS = [
     ["asym", "--m", str(10 ** 400), "--n", "5"],
 ]
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+
+
+class CountingStream(io.StringIO):
+    """A stdout that counts its writes: each write of an unbuffered stdout
+    is a system call."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
 
 
 class TestTable1:
@@ -59,6 +74,37 @@ class TestTable1:
         res = run_cli(["table1", "--L", "10"])
         assert "ratio = 0.9436" in res.stdout
         assert "20208198304276" in res.stdout
+
+    def test_rows_are_written_in_one_batch(self):
+        # every format writes the bytes that printing each row, or
+        # json.dumps of the row dicts, wrote; a few rows are one write
+        from steadyparts.cli import cli
+
+        for l_values in ([1], [10, 40]):
+            G = build_g_table(max(l_values) ** 2)
+            rows = []
+            for L in l_values:
+                for m, n in ((L * L, L * L), (L * L, L * L + L)):
+                    v, a = pi_value(m, n, G), asym_pi(m, n)
+                    rows.append({
+                        "L": L, "m": m, "n": n, "pi_exact": str(v), "pi_sci": sci_from_int(v),
+                        "A_sci": sci_from_log(a), "ratio": ratio_string(math.log(v), a),
+                    })
+            expected = {
+                "text": "".join(
+                    f"L={r['L']:>4} {'diagonal ' if r['m'] == r['n'] else 'off-diag '} pi({r['m']},{r['n']}) = "
+                    f"{r['pi_sci']}   A = {r['A_sci']}   ratio = {r['ratio']}\n           exact: {r['pi_exact']}\n"
+                    for r in rows
+                ),
+                "csv": "L,pi,A,ratio\n" + "".join(f"{r['L']},{r['pi_sci']},{r['A_sci']},{r['ratio']}\n" for r in rows),
+                "json": json.dumps(rows, indent=2) + "\n",
+            }
+            for fmt, text in expected.items():
+                out = CountingStream()
+                with redirect_stdout(out):
+                    cli(["table1", "--L", ",".join(map(str, l_values)), "--format", fmt])
+                assert out.getvalue() == text, (l_values, fmt)
+                assert out.writes == 1, (l_values, fmt)
 
     def test_bad_l_list(self, run_cli):
         res = run_cli(["table1", "--L", "ten"])
@@ -214,6 +260,29 @@ class TestGuard:
         assert full.startswith(res.stdout)
         assert 0 < len(res.stdout) < len(full)
 
+    def test_time_budget_in_the_last_cell_writes_nothing(self, run_cli, monkeypatch):
+        # table1 formats every row before it writes any: a timer that fires
+        # in its last cell leaves stdout empty
+        from steadyparts import bipartite
+
+        real = bipartite.pi_value
+        stalled = []
+
+        def stalls(m, n, G):
+            if (m, n) == (1600, 1640):  # the last cell of --L 10,40
+                stalled.append((m, n))
+                time.sleep(60)
+            return real(m, n, G)
+
+        monkeypatch.setattr(bipartite, "pi_value", stalls)
+        monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0.5")
+        for fmt in ("text", "csv", "json"):
+            res = run_cli(["table1", "--L", "10,40", "--format", fmt])
+            assert res.code == 2, fmt
+            assert res.stderr == "aborted: time budget of 0.5s exceeded\n", fmt
+            assert res.stdout == "", fmt
+        assert len(stalled) == 3
+
     def test_compute_time_guard(self, run_cli, monkeypatch):
         monkeypatch.setenv("STEADYPARTS_TIME_LIMIT_S", "0")
         res = run_cli(["compute", "--m", "100", "--n", "100"])
@@ -344,13 +413,6 @@ class TestCrankRow:
         # wrote about 48000 chunks at n = 2000, one at a time.  Every format
         # writes the bytes that printing the whole row wrote
         from steadyparts.cli import cli
-
-        class CountingStream(io.StringIO):
-            writes = 0
-
-            def write(self, text):
-                self.writes += 1
-                return super().write(text)
 
         for n in (0, 1, 2000):  # M(0, 1) = -1 puts a minus sign in a string of M
             p = build_p_table(n)
@@ -601,6 +663,14 @@ class TestProcess:
         assert "steadyparts.cli" in out
         for name in ("click", "typing", "json", "concurrent.futures", "logging", "decimal", "argparse", "gettext", "locale"):
             assert name not in out
+
+    @pytest.mark.parametrize("command", [["table1", "--L", "10"], ["crank-row", "--n", "10"]])
+    def test_json_format_loads_no_json(self, command):
+        # each writes its JSON as fixed text
+        args = [*command, "--format", "json"]
+        out = self.modules_after(f"import sys\nfrom steadyparts.cli import cli\ncli({args!r})")
+        assert "steadyparts.reports" in out
+        assert "json" not in out
 
     def test_threads_load_no_pool(self):
         out = self.modules_after(
