@@ -21,9 +21,10 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
                                against a slice of one crank row;
 * ``gf_table``              -- direct box expansion of the Carlitz generating
                                function 1/((x;xy)(x^2y^2;x^2y^2)(y;xy));
-* ``enumerate_steady``      -- the number of part-pair sequences satisfying
-                               min(a_i, b_i) >= max(a_{i+1}, b_{i+1}), by a
-                               memoised recursion over the first pair.
+* ``enumerate_steady``      -- the numbers of part-pair sequences satisfying
+                               min(a_i, b_i) >= max(a_{i+1}, b_{i+1}) over a
+                               box, by the first pair and the rest, in layers
+                               by the largest part allowed.
 
 The oracles slice the p and c tuples; none keeps a table alive between calls.
 """
@@ -128,52 +129,40 @@ def d_value_by_crank(m: int, n: int, c: Sequence[int], M) -> int:
     return sum(map(mul, c[L::-1], row[base:n + 1]))
 
 
-def enumerate_steady(m: int, n: int) -> int:
-    """The number of steadily decreasing pair sequences of total weight (m, n).
+def enumerate_steady(M: int, N: int) -> tuple:
+    """Count the steadily decreasing pair sequences, min(a_i, b_i) >=
+    max(a_{i+1}, b_{i+1}), over the (M+1) x (N+1) box; the count of weight
+    (m, n) is s[m][n] of the returned tuple of row tuples, as in ``gf_table``.
 
-    Entry B of _STEADY[rm][rn] counts those of weight (rm, rn) whose pairs
-    have max(a, b) <= B: entry B - 1 plus each first pair with max(a, b) = B
-    (a = B with b <= B, or b = B with a < B) followed by a sequence of the
-    rest of the weight, read at the clamped bound.  The box below (m, n) is
-    filled in ascending rm and rn, in this one frame, and a MemoryError lets
-    the memo go before it leaves: Python 3.11 and 3.13 can raise SystemError
-    in place of a MemoryError that finds no memory to unwind or call through.
-    m + n is capped at twice ``PRODUCT_CAP``, the largest box ``verify`` checks.
+    Layer B counts the sequences whose pairs have max(a, b) <= B.  Layer 0
+    is the empty sequence; layer B is layer B - 1 plus each first pair
+    (B, b) or (b, B) with b < B followed by layer b shifted by the pair,
+    plus (B, B) followed by layer B itself, swept in ascending rows in place.
+    Every term adds one shifted row slice.
     """
-    if m < 0 or n < 0:
-        raise ValueError("steady pair sequences take nonnegative weights")
-    if m + n > 2 * PRODUCT_CAP:
-        raise ValueError(f"total weight {m + n} exceeds the enumeration cap {2 * PRODUCT_CAP}")
-    try:
-        while len(_STEADY) <= m:
-            _STEADY.append([])
-        for rm in range(m + 1):
-            row = _STEADY[rm]
-            for rn in range(len(row), n + 1):
-                total = 1 if rm == 0 and rn == 0 else 0
-                counts = [total]
-                for bound in range(1, max(rm, rn) + 1):
-                    if bound <= rm:
-                        for b in range(min(bound, rn) + 1):
-                            rest = _STEADY[rm - bound][rn - b]
-                            total += rest[min(b, len(rest) - 1)]
-                    if bound <= rn:
-                        for a in range(min(bound - 1, rm) + 1):
-                            rest = _STEADY[rm - a][rn - bound]
-                            total += rest[min(a, len(rest) - 1)]
-                    counts.append(total)
-                row.append(tuple(counts))
-    except MemoryError:
-        _STEADY.clear()
-        raise
-    return _STEADY[m][n][-1]
+    if M < 0 or N < 0:
+        raise ValueError("box bounds must be nonnegative")
+    if max(M, N) > PRODUCT_CAP:
+        raise ValueError(f"box bound {max(M, N)} exceeds the product cap {PRODUCT_CAP}")
+    s = [[0] * (N + 1) for _ in range(M + 1)]
+    s[0][0] = 1
+    layers = [s]
+    for B in range(1, max(M, N) + 1):
+        s = [row[:] for row in s]
+        for b, rest in enumerate(layers):
+            if b <= N:
+                for i in range(B, M + 1):
+                    s[i][b:] = map(add, s[i][b:], rest[i - B])
+            if B <= N:
+                for i in range(b, M + 1):
+                    s[i][B:] = map(add, s[i][B:], rest[i - b])
+        for i in range(B, M + 1):
+            s[i][B:] = map(add, s[i][B:], s[i - B])
+        layers.append(s)
+    return tuple(map(tuple, s))
 
 
-# enumerate_steady's memo, which every call and a whole verify box share
-_STEADY: list[list[tuple]] = []
-
-
-# largest box bound gf_table expands
+# largest box bound gf_table and enumerate_steady take
 PRODUCT_CAP = 60
 
 

@@ -36,6 +36,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
         G = G[:i] + (G[i] + 1,) + G[i + 1:]
 
     g = bipartite.gf_table(box, box)
+    steady = bipartite.enumerate_steady(box, box)
     bad = sum(
         1
         for m in range(box + 1)
@@ -44,7 +45,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
             bipartite.pi_value(m, n, G)
             == bipartite.pi_value_by_alpha(m, n, c, alpha)
             == g[m][n]
-            == bipartite.enumerate_steady(m, n)
+            == steady[m][n]
         )
     )
     total = (box + 1) ** 2

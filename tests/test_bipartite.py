@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -99,29 +100,34 @@ class TestOraclesKeepNoState:
         assert pi_value_by_alpha(12, 17, c_table, {5: alpha_row(5, 12, p)}) == pi_value(12, 17, g_table)
         assert (sys.getrefcount(p), sys.getrefcount(c_table)) == held
 
+    def test_enumerate_steady_keeps_no_table(self):
+        # the box's layers are locals: once its result is dropped, the traced
+        # memory is back within the few KB that CPython's list free list keeps
+        enumerate_steady(1, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            enumerate_steady(30, 30)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 16384
+
 
 class TestEnumerate:
     def test_empty_bipartite_number(self):
-        assert enumerate_steady(0, 0) == 1
+        assert enumerate_steady(0, 0) == ((1,),)
 
     def test_one_sided(self):
-        for k in range(1, 8):
-            assert enumerate_steady(0, k) == 1
-            assert enumerate_steady(k, 0) == 1
+        assert enumerate_steady(0, 7) == ((1,) * 8,)
+        assert enumerate_steady(7, 0) == ((1,),) * 8
 
     def test_two_one(self):
         # (2, 1) and (1, 1), (1, 0)
-        assert enumerate_steady(2, 1) == 2
+        assert enumerate_steady(2, 1)[2][1] == 2
 
     def test_counts_match_listing(self):
-        g = gf_table(14, 14)
-        for m in range(15):
-            for n in range(15 - m):
-                assert enumerate_steady(m, n) == g[m][n], (m, n)
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="exceeds the enumeration cap 120"):
-            enumerate_steady(PRODUCT_CAP + 1, PRODUCT_CAP)
+        assert enumerate_steady(14, 14) == gf_table(14, 14)
 
 
 class TestPiValue:
@@ -159,16 +165,24 @@ class TestPiValue:
 class TestThreeWayAgreement:
     def test_box_ten(self, g_table, c_table, alpha200):
         g = gf_table(10, 10)
+        steady = enumerate_steady(10, 10)
         for m in range(11):
             for n in range(11):
                 fast = pi_value(m, n, g_table)
                 assert fast == pi_value_by_alpha(m, n, c_table, alpha200), (m, n)
                 assert fast == g[m][n], (m, n)
-                assert fast == enumerate_steady(m, n), (m, n)
+                assert fast == steady[m][n], (m, n)
 
-    def test_gf_cap(self):
-        with pytest.raises(ValueError, match="exceeds the product cap 60"):
-            gf_table(61, 61)
+    def test_box_sixty(self):
+        assert enumerate_steady(PRODUCT_CAP, PRODUCT_CAP) == gf_table(PRODUCT_CAP, PRODUCT_CAP)
+
+    @pytest.mark.parametrize("box", [enumerate_steady, gf_table], ids=lambda box: box.__name__)
+    def test_box_cap(self, box):
+        for M, N in [(PRODUCT_CAP + 1, PRODUCT_CAP), (PRODUCT_CAP + 1, PRODUCT_CAP + 1), (0, PRODUCT_CAP + 1)]:
+            with pytest.raises(ValueError, match="exceeds the product cap 60"):
+                box(M, N)
+        with pytest.raises(ValueError, match="nonnegative"):
+            box(-1, 0)
 
 
 class TestDValue:
@@ -260,7 +274,7 @@ class TestGPathAgainstOracles:
         for m in range(M + 1):
             for n in range(N + 1):
                 assert pi_value(m, n, g_table) == box[m][n], (m, n)
-        assert pi_value(M, N, g_table) == enumerate_steady(M, N)
+        assert enumerate_steady(M, N) == box
 
     @pytest.mark.parametrize(
         "m, n",

@@ -774,11 +774,9 @@ class TestProcess:
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("no RLIMIT_AS on this platform")
         # the guard sizes no verify run, and verify --deep --box 60 grows the
-        # address space by 3-4.5 MB (Python 3.10-3.13): these budgets stop it
-        # at the cap, in the box's enumeration, where at 0.5 and 1 MB Python
-        # 3.13 can end in SystemError unless the MemoryError finds memory to
-        # unwind with (see bipartite.enumerate_steady).  No setrlimit here:
-        # the entry point caps its own address space
+        # address space by 4.2-5.3 MB (Python 3.10-3.13): these budgets stop it
+        # at the cap with one abort line, never a traceback or a SystemError.
+        # No setrlimit here: the entry point caps its own address space
         for budget in (500_000, 1_000_000, 2_000_000):
             proc = self.run_module("verify", "--deep", "--box", "60", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(budget)})
             assert proc.returncode == 2, proc.stderr
