@@ -158,7 +158,7 @@ def enumerate_steady(M: int, N: int) -> tuple:
                     s[i][B:] = map(add, s[i][B:], rest[i - b])
         for i in range(B, M + 1):
             s[i][B:] = map(add, s[i][B:], s[i - B])
-        layers.append(s)
+        layers.append(s[:M + 1 - B])  # later layers read layer B at rows 0..M - B
     return tuple(map(tuple, s))
 
 

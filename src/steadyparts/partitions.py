@@ -27,7 +27,6 @@ but G's reader is a tuple, a ``series.CoefficientTable``.
 """
 
 import math
-from collections.abc import Sequence
 
 from .asymptotics import C
 from .series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
@@ -47,7 +46,7 @@ def build_c_table(N: int) -> CoefficientTable:
     return CoefficientTable(divide_by_euler(list(build_p_table(N)), 2))
 
 
-class HalfOrderG(Sequence):
+class HalfOrderG:
     """The read-only sequence G(0..length-1) over E = ``half``, where
     G(q) = E(q^2) phi(q) and phi(q) = 1 + 2 sum_{j >= 1} q^(j^2):
 
@@ -56,7 +55,7 @@ class HalfOrderG(Sequence):
     Reading G(k) costs about sqrt(k)/2 additions.  A caller that reads every
     coefficient many times, as ``verify``'s small cells do, indexes
     tuple(G) instead.  An index outside 0..length-1, negative ones too,
-    raises IndexError.
+    raises IndexError, which ends iteration, tuple(G) and list(G).
     """
 
     __slots__ = ("half", "_length")

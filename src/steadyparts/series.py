@@ -16,7 +16,8 @@ puts those of phi(-q) at the squares.  They feed two routes:
 
 * ``divide_by_euler`` and ``divide_by_phi`` -- sparse division by
   (q^s;q^s)_inf and by phi(-q), in place, both through one loop over
-  (offset, weight) pairs; ``partitions`` builds its tables with them;
+  (offset, sign) pairs, sign +-1, and one scale, 2 for phi(-q);
+  ``partitions`` builds its tables with them;
 * ``euler_product``, ``mul``, ``invert`` -- the pentagonal expansion of
   (q^s;q^s)_inf, the schoolbook product and the triangular inverse: the dense
   oracles the sparse tables are checked against, and the Lambert route in
@@ -83,43 +84,39 @@ def _pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:
 
 
 def _square_offsets(limit: int) -> list[tuple[int, int]]:
-    """(offset, coefficient) pairs of phi(-q) = sum_{k in Z} (-1)^k q^(k^2)
-    up to `limit`, ascending: k^2 with coefficient 2 (-1)^k for k >= 1."""
-    return [(k * k, 2 if k % 2 == 0 else -2) for k in range(1, math.isqrt(limit) + 1)]
+    """(offset, sign) pairs of phi(-q) = 1 + 2 sum_{k >= 1} (-1)^k q^(k^2) up
+    to `limit`, ascending: k^2 with sign (-1)^k; the 2 is the scale
+    ``divide_by_phi`` passes."""
+    return [(k * k, 1 if k % 2 == 0 else -1) for k in range(1, math.isqrt(limit) + 1)]
 
 
-def _divide_sparse(coeffs: list, terms: list[tuple[int, int]]) -> list:
-    """Divide the series `coeffs` in place by 1 + sum w q^g over the
-    (g, w) pairs of `terms` (ascending, g >= 1), truncated to len(coeffs)
-    terms, and return the list.
+def _divide_sparse(coeffs: list, terms: list[tuple[int, int]], scale: int = 1) -> list:
+    """Divide the series `coeffs` in place by 1 + scale sum sign q^g over the
+    (g, sign) pairs of `terms` (ascending, g >= 1, sign +-1), truncated to
+    len(coeffs) terms, and return the list.
 
-    The quotient obeys a(n) -= sum w a(n - g), so a divisor with O(sqrt(N))
-    terms costs O(N^1.5) big-integer additions.  Between two consecutive
-    offsets the set of offsets that reach back into the list is fixed, so
-    each stretch runs one plain loop per weight class; each class is summed
-    once per n and scaled once, and weights +-1 are not multiplied at all.
+    The quotient obeys a(n) -= scale (up - down), where up sums a(n - g) over
+    the offsets g <= n of sign +1 and down over those of sign -1, so a divisor
+    with O(sqrt(N)) terms costs O(N^1.5) big-integer additions.  The two sums
+    are kept apart: adding big ints of one sign is cheaper than of mixed signs.
     """
-    ends = [g for g, _ in terms] + [len(coeffs)]
-    start = 0
-    for active, end in enumerate(ends):
-        classes: dict[int, list[int]] = {}
-        for g, w in terms[:active]:
-            classes.setdefault(w, []).append(g)
-        by_weight = list(classes.items())
-        for n in range(start, end):
-            s = coeffs[n]
-            for w, offsets in by_weight:
-                t = 0
-                for g in offsets:
-                    t += coeffs[n - g]
-                if w == 1:
-                    s -= t
-                elif w == -1:
-                    s += t
-                else:
-                    s -= w * t
-            coeffs[n] = s
-        start = end
+    plus, minus = [], []
+    pending = iter(terms)
+    g, sign = next(pending, (len(coeffs), 1))
+    for n in range(len(coeffs)):
+        if n == g:
+            (plus if sign > 0 else minus).append(g)
+            g, sign = next(pending, (len(coeffs), 1))
+        up = 0
+        for h in plus:
+            up += coeffs[n - h]
+        down = 0
+        for h in minus:
+            down += coeffs[n - h]
+        if scale == 1:
+            coeffs[n] -= up - down
+        else:
+            coeffs[n] -= scale * (up - down)
     return coeffs
 
 
@@ -140,7 +137,7 @@ def divide_by_phi(coeffs: list) -> list:
     Gauss's identity puts phi(-q)'s O(sqrt(N)) nonzero terms at the squares,
     each +-2, so the quotient costs O(N^1.5) big-integer additions.
     """
-    return _divide_sparse(coeffs, _square_offsets(len(coeffs) - 1))
+    return _divide_sparse(coeffs, _square_offsets(len(coeffs) - 1), 2)
 
 
 def mul(a: Sequence[int], b: Sequence[int]) -> CoefficientTable:

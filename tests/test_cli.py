@@ -773,11 +773,29 @@ class TestProcess:
         resource = pytest.importorskip("resource")
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("no RLIMIT_AS on this platform")
-        # the guard sizes no verify run, and verify --deep --box 60 grows the
-        # address space by 4.2-5.3 MB (Python 3.10-3.13): these budgets stop it
-        # at the cap with one abort line, never a traceback or a SystemError.
-        # No setrlimit here: the entry point caps its own address space
-        for budget in (500_000, 1_000_000, 2_000_000):
+        # the guard sizes no verify run, so the cap alone stops it.  An
+        # uncapped run reports how far its address space grew past the size
+        # the entry point caps from; an eighth, a quarter and a half of that
+        # growth must each end at the cap with one abort line, never a
+        # traceback or a SystemError.  Not three quarters: the peak can hold
+        # a fresh 1 MiB object arena that is barely used, and a capped run
+        # falls back to malloc where that arena does not fit, so it needs as
+        # little as 0.6 of the peak.  No setrlimit here: the entry point caps
+        # its own address space
+        probe = (
+            "import sys\nfrom steadyparts.cli import cli\n"
+            "def size(field):\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) * 1024 for line in status if line.startswith(field + ':'))\n"
+            "start = size('VmSize')\n"
+            "cli(['verify', '--deep', '--box', '60'])\n"
+            "print(size('VmPeak') - start)"
+        )
+        uncapped = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=self.env(), check=True,
+        )
+        growth = int(uncapped.stdout.splitlines()[-1])
+        for budget in (growth // 8, growth // 4, growth // 2):
             proc = self.run_module("verify", "--deep", "--box", "60", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(budget)})
             assert proc.returncode == 2, proc.stderr
             assert proc.stdout == b""

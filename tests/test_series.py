@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steadyparts.series import euler_product, invert, mul, theta_coefficient
+from steadyparts.series import _divide_sparse, euler_product, invert, mul, theta_coefficient
 
 
 def expand_finite_product(factors, order):
@@ -107,6 +107,29 @@ class TestEulerProduct:
         for n in range(1, 201):
             assert abs(s[n]) <= 1
             assert (s[n] != 0) == (n in pents)
+
+
+# ascending distinct offsets g >= 1, each with a sign +-1, some past the order
+sparse_terms = st.lists(
+    st.tuples(st.integers(1, 40), st.sampled_from((1, -1))), max_size=10, unique_by=lambda term: term[0],
+).map(sorted)
+
+
+class TestDivideSparse:
+    @given(sparse_terms, st.integers(1, 3), st.lists(st.integers(-99, 99), min_size=1, max_size=35))
+    @settings(max_examples=120, deadline=None)
+    @example(terms=[], scale=2, numerator=[5, -1, 3])
+    @example(terms=[(1, -1)], scale=1, numerator=[1, 0, 0, 0])
+    @example(terms=[(2, 1)], scale=3, numerator=[7])
+    def test_quotient_times_divisor_is_the_numerator(self, terms, scale, numerator):
+        # the divisor 1 + scale sum sign q^g, written out densely
+        divisor = [1] + [0] * (len(numerator) - 1)
+        for g, sign in terms:
+            if g < len(divisor):
+                divisor[g] = scale * sign
+        coeffs = list(numerator)
+        assert _divide_sparse(coeffs, terms, scale) is coeffs
+        assert mul(coeffs, divisor) == tuple(numerator)
 
 
 small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=6, max_size=6).map(tuple)
