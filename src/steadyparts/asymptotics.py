@@ -19,8 +19,6 @@ KAPPA = 5.0 ** 2.5 / (16.0 * 3.0 ** 1.5)
 
 def _log_damping(z: float, power: int) -> float:
     """log of (1 + e^{-z})^{-power} for z >= 0; stable for large z."""
-    if z < 0:
-        raise ValueError("damping argument must be nonnegative")
     return -power * math.log1p(math.exp(-z))
 
 

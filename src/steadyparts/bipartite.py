@@ -9,9 +9,8 @@ over G, and G is any sequence of its coefficients: the reader, or a tuple
 when many cells share small orders:
 
 * ``pi_value``  -- pi(m, n) = K(mu, s), mu = min(m, n), s = |m - n|;
-* ``d_value``   -- the first difference D(m, n) = pi(m, n) - pi(m-1, n) as
-                   K(L, b) - K(L - 1, b + 1), from the crank identity with
-                   ``crank_value_direct``'s closed form put in.
+* ``d_value``   -- the first difference D(m, n) = pi(m, n) - pi(m-1, n),
+                   two ``pi_value`` sums.
 
 Independent routes are kept as oracles, for the tests and ``verify`` only:
 
@@ -51,23 +50,11 @@ def pi_value(m: int, n: int, G: Sequence[int]) -> int:
 
 
 def d_value(m: int, n: int, G: Sequence[int]) -> int:
-    """D(m, n) with L = min(m, 2n - m) and b = n - L:
-
-        D(m,n) = sum_{k >= 1} (-1)^(k-1) [G(L - k(k-1)/2 - b(k-1))
-                                         - G(L - k(k+1)/2 - b(k-1))]
-               = K(L, b) - K(L - 1, b + 1),
-
-    with K = ``theta_coefficient`` over G; L < 0, so D = 0, when m > 2n.
-    This is ``d_value_by_crank`` with ``crank_value_direct``'s closed form
-    for M(b, .) put in and the sums swapped.
-    """
+    """D(m, n) = pi(m, n) - pi(m - 1, n) by its definition: two ``pi_value``
+    sums over G, which must reach min(m, n).  It vanishes for m > 2n."""
     if m < 0 or n < 0:
         raise ValueError("d_value takes nonnegative arguments")
-    L = min(2 * n - m, m)
-    if len(G) <= L:
-        raise IndexError("G table too short for d_value")
-    b = n - L
-    return theta_coefficient(G, L, b) - theta_coefficient(G, L - 1, b + 1)
+    return pi_value(m, n, G) - (pi_value(m - 1, n, G) if m else 0)
 
 
 def alpha_row(s: int, K: int, p: Sequence[int]) -> tuple:

@@ -90,7 +90,7 @@ def compute(args, guard):
     """Exact pi(m,n) and D(m,n) for one cell, with asymptotics and ratios."""
     m, n = args.m, args.n
     mu = min(m, n)
-    # D needs G up to min(m, 2n - m), which is at most mu
+    # pi and D both read G up to mu
     guard.require(partitions.g_table_bytes(mu))
     G = partitions.build_g_table(mu)
     v = bipartite.pi_value(m, n, G)

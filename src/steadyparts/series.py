@@ -95,10 +95,10 @@ def _divide_sparse(coeffs: list, terms: list[tuple[int, int]], scale: int = 1) -
     (g, sign) pairs of `terms` (ascending, g >= 1, sign +-1), truncated to
     len(coeffs) terms, and return the list.
 
-    The quotient obeys a(n) -= scale (up - down), where up sums a(n - g) over
-    the offsets g <= n of sign +1 and down over those of sign -1, so a divisor
-    with O(sqrt(N)) terms costs O(N^1.5) big-integer additions.  The two sums
-    are kept apart: adding big ints of one sign is cheaper than of mixed signs.
+    Each order takes one update, a(n) -= scale (up - down), where up sums
+    a(n - g) over the offsets g <= n of sign +1 and down over those of sign -1,
+    so O(sqrt(N)) terms cost O(N^1.5) big-integer additions.  The two sums are
+    kept apart: adding big ints of one sign is cheaper than of mixed signs.
     """
     plus, minus = [], []
     pending = iter(terms)
@@ -113,10 +113,7 @@ def _divide_sparse(coeffs: list, terms: list[tuple[int, int]], scale: int = 1) -
         down = 0
         for h in minus:
             down += coeffs[n - h]
-        if scale == 1:
-            coeffs[n] -= up - down
-        else:
-            coeffs[n] -= scale * (up - down)
+        coeffs[n] -= scale * (up - down)
     return coeffs
 
 

@@ -160,6 +160,10 @@ class TestPiValue:
             pi_value(11, 30, build_g_table(10))
         with pytest.raises(IndexError):
             d_value(11, 30, build_g_table(10))
+        # D reads G up to min(m, n) on every cell, also where it vanishes
+        with pytest.raises(IndexError):
+            d_value(30, 11, build_g_table(10))
+        assert d_value(30, 11, build_g_table(11)) == 0
 
 
 class TestThreeWayAgreement:
@@ -211,8 +215,9 @@ class TestDValue:
                 ), (m, n)
 
     def test_telescoping(self, c_table, alpha200, crank60):
-        # d_value summed over m is pi_value over any sequence G, right or wrong
-        # (see tests/test_series.py), so only the crank route is checked here
+        # d_value is pi_value's first difference, so its sum over m is
+        # pi_value over any sequence G, right or wrong: only the crank route
+        # is checked here
         for n in range(61):
             running_crank = 0
             for m in range(2 * n + 1):
@@ -291,6 +296,17 @@ class TestGPathAgainstOracles:
         table = tuple(g3000)
         assert pi_value(m, n, g3000) == pi_value(m, n, table)
         assert d_value(m, n, g3000) == d_value(m, n, table)
+
+    @pytest.mark.parametrize(
+        "m, n", [(3000, 3000), (2971, 3000), (3000, 2985), (4210, 2900), (6500, 3000), (2500, 3000)]
+    )
+    def test_d_matches_crank_convolution_on_every_cell_shape(self, p3000, c3000, g3000, m, n):
+        # D as two pi sums over G against the crank convolution over c and
+        # one crank column of p.  The routes share theta_coefficient, which
+        # the column reads through crank_value_direct (ROADMAP item 3)
+        b = n - min(m, 2 * n - m) if m <= 2 * n else 0
+        column = {b: crank_column(b, n, p3000)}
+        assert d_value(m, n, g3000) == d_value_by_crank(m, n, c3000, column)
 
     def test_d_at_2500(self, p3000, c3000, g3000):
         column = {0: crank_column(0, 2500, p3000)}

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -837,3 +838,44 @@ def test_every_public_name_resolves():
         assert module in steadyparts.__all__
         assert getattr(getattr(steadyparts, module), name) is not None
         assert not hasattr(steadyparts, name)
+
+
+# Byte identity of the CLI: (command, exit status, sha256 of stdout) for
+# table1 --L 10,40,70,100 and crank-row --n 300 in the three formats, compute
+# on the eight cells of bench/run.py's compute_cells(1) and on four tiny
+# ones, verify --deep and asym --m 100 --n 100.  Every command writes nothing
+# to stderr.  A change meant to alter these bytes regenerates the digests:
+#     for args, _, _ in CLI_DIGESTS:
+#         res = invoke_cli(args.split())  # tests/conftest.py
+#         print(args, res.code, hashlib.sha256(res.stdout.encode()).hexdigest())
+CLI_DIGESTS = [
+    ("table1 --L 10,40,70,100 --format text", 0, "7fb83bb4f1a7945753ea4b3ea7b3642a6c3fa60c728b77e52362b0a00a421e81"),
+    ("table1 --L 10,40,70,100 --format csv", 0, "109beb035b6b41b2911c95f34003bbf13873f479831cb85da5695cfd8d9e98bf"),
+    ("table1 --L 10,40,70,100 --format json", 0, "8ae18c728dfe625fea2d475d4056a77815335cd7bfe593208e6ededc79cbf386"),
+    ("compute --m 100 --n 100", 0, "c999fcf7f33ff3c11ef274f9f3ed4641cd3bebcf339df50970b8c3285e22e93d"),
+    ("compute --m 1508 --n 1508", 0, "469197ae021ccff89a0d0007224413ae16b6148f21bad911280e7c2213bf013d"),
+    ("compute --m 2036 --n 2041", 0, "081776619f330a981b874db41b68559bee61cc76a2f946fb621389ab0e0279bf"),
+    ("compute --m 4083 --n 2531", 0, "ed8a034a882041f9eee8fe52e6bd85e5d447da60144509ee00a21b0fa336f9c8"),
+    ("compute --m 7395 --n 3030", 0, "901bdbc176dc2dfa9e3e88c36f3ced2d058632f94da6d7d7b45c4ae66663dc29"),
+    ("compute --m 3524 --n 8664", 0, "6d9086512f276296f8d3c06fbcac69e2b9f64e85024612e7403340b69b2e5504"),
+    ("compute --m 4013 --n 4013", 0, "b24c4b53b77dc9210f8a4c28f39fa251a61aec48ca6f99747f99255ff32c796d"),
+    ("compute --m 4506 --n 4538", 0, "595d3a394b04f2794aaf64f59b9bcf4ffa33571cc41a67ec2f90624e5a883b7d"),
+    ("compute --m 0 --n 0", 0, "7ebfcf9846a3d71679d15dc66969331b25ea16105adfc775c240c94968501b18"),
+    ("compute --m 1 --n 0", 0, "fdbc09036809ed601260784633ec929a8ccbe051c71056d9db4e05e3d16f1c78"),
+    ("compute --m 2 --n 1", 0, "c51fc2fea287d74c1bf67eaa0bfb9808ffb3d79a5812568a3b112f2cc6167bdb"),
+    ("compute --m 0 --n 5", 0, "31b1e51b46d65c854f5c87c6948f66c6e3700b73768a0a5f2fb3aba4cffed984"),
+    ("crank-row --n 300 --format text", 0, "209a918c68b8a2c64ebb6c1a03565c3b776f3191853457c5e0a5ab7eef89148c"),
+    ("crank-row --n 300 --format csv", 0, "61a3b153e388c673b610d87bfd1e40648404cd1fd6acdf57f071be0286399a7b"),
+    ("crank-row --n 300 --format json", 0, "cdfc51f58dbb90f8dc6da27006c5ca1675304b983a3ccb5dbd255b737b89d87e"),
+    ("verify --deep", 0, "95f63f58b2cb3c6adbb3c393bcfcb9d2ad367bf667f53270b7444c95d5cec0f8"),
+    ("asym --m 100 --n 100", 0, "aba4f8903c32e6bf1b71a884e10f67e72a8c9e5cff0c79ebe11b4d031b81d9a6"),
+]
+
+
+def test_cli_bytes_match_their_digests(run_cli):
+    changed = []
+    for args, code, digest in CLI_DIGESTS:
+        res = run_cli(args.split())
+        if (res.code, res.stderr, hashlib.sha256(res.stdout.encode()).hexdigest()) != (code, "", digest):
+            changed.append(args)
+    assert changed == []

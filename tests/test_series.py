@@ -160,8 +160,9 @@ class TestAlgebraicProperties:
     @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=40), st.integers(0, 10))
     @settings(max_examples=60, deadline=None)
     def test_theta_coefficient_recursion(self, t, s):
-        # K(k, s) = t(k) - K(k - 1 - s, s + 1) for every sequence t.  So
-        # d_value(m, n, G) = K(L, b) - K(L - 1, b + 1) summed over m is
-        # pi_value(m, n, G) for every G: that sum checks nothing about G
+        # K(k, s) = t(k) - K(k - 1 - s, s + 1) for every sequence t.  By it,
+        # crank_value_direct(m - n, n, G), the crank closed form read over G,
+        # is pi(m, n) - pi(m - 1, n) for every G: the two pi_value sums that
+        # bipartite.d_value takes
         for k in range(len(t)):
             assert theta_coefficient(t, k, s) == t[k] - theta_coefficient(t, k - 1 - s, s + 1)
