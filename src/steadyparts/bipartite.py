@@ -52,8 +52,6 @@ def pi_value(m: int, n: int, G: Sequence[int]) -> int:
 def d_value(m: int, n: int, G: Sequence[int]) -> int:
     """D(m, n) = pi(m, n) - pi(m - 1, n) by its definition: two ``pi_value``
     sums over G, which must reach min(m, n).  It vanishes for m > 2n."""
-    if m < 0 or n < 0:
-        raise ValueError("d_value takes nonnegative arguments")
     return pi_value(m, n, G) - (pi_value(m - 1, n, G) if m else 0)
 
 

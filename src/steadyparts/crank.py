@@ -5,31 +5,32 @@ A table holds the coefficients of the crank generating function
     (q;q)_inf / ((zeta q;q)_inf (zeta^{-1} q;q)_inf)
 
 expanded to q-order N, as 2N+1 row tuples indexed M[m][n]: rows m = 0..N,
-then m = -N..-1, so a negative m is Python's negative index.  Three routes
-produce the same numbers and are compared in the tests:
+then m = -N..-1, so a negative m is Python's negative index.  Every route
+returns that layout, or one row of it, and the tests compare them:
 
-* ``build_crank_table``          -- quotient-of-products expansion, with
-                                    each q-order packed into one int of
-                                    W-bit zeta fields, so the geometric
-                                    factors are swept by shifts and adds;
-                                    W holds p(N) and a sign bit;
-* ``build_crank_table_lambert``  -- the (1 - zeta) * Lambert-sum form of the
-                                    same generating function;
-* ``crank_column``               -- a closed form in p(n) for one fixed crank
-                                    value, obtained by expanding the Lambert
-                                    sum geometrically; each value
-                                    (``crank_value_direct``) is a difference
-                                    of two ``series.theta_coefficient`` sums
-                                    over the p tuple; the only route that
-                                    scales to q-orders in the thousands.
+* ``build_crank_table``            -- quotient-of-products expansion, with
+                                      each q-order packed into one int of
+                                      W-bit zeta fields, so the geometric
+                                      factors are swept by shifts and adds;
+                                      W holds p(N) and a sign bit;
+* ``build_crank_table_lambert``    -- the (1 - zeta) * Lambert-sum form of
+                                      the same generating function;
+* ``crank_value_direct``           -- one M(m, n) in closed form, a
+                                      difference of two
+                                      ``series.theta_coefficient`` sums over
+                                      the p tuple; the only route that scales
+                                      to q-orders in the thousands, and
+                                      ``crank_column`` is its row;
+* ``crank_counts_by_enumeration``  -- the combinatorial counts, by brute
+                                      force over the partitions of N.
 
 Note the generating-function convention at n = 1: M(0,1) = -1 and
-M(+-1,1) = 1, which differ from the combinatorial counts.  The tests pin
-this down; it is what makes the D(m,n) convolution identity exact.
+M(+-1,1) = 1, which differ from the combinatorial counts, M(-1,1) = 1 and
+0 elsewhere.  The tests pin this down; it is what makes the D(m,n)
+convolution identity exact.
 """
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from operator import neg, sub
 
@@ -115,9 +116,7 @@ def build_crank_table_lambert(N: int) -> tuple:
 
 
 def crank_column(m: int, N: int, p_table: Sequence[int]) -> tuple:
-    """M(m, n) for n = 0..N from the closed form in partition numbers;
-    this is the route used at orders where the full 2-D expansion is out
-    of reach."""
+    """The row M(m, 0..N), one ``crank_value_direct`` value per order."""
     if len(p_table) <= N:
         raise IndexError("p table too short for the requested crank column")
     return tuple(crank_value_direct(m, n, p_table) for n in range(N + 1))
@@ -150,6 +149,8 @@ def partitions_of(n: int) -> Iterator[tuple]:
     freed amount (the trailing ones plus one) with copies of the lowered
     part and a remainder; a part of 2 just becomes a 1.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return
@@ -194,9 +195,10 @@ def crank_of(partition: Sequence[int]) -> int:
     return bisect_left(partition, -ones, key=neg) - ones
 
 
-def crank_counts_by_enumeration(N: int) -> list[Counter]:
-    """Combinatorial crank counts for every n = 0..N (brute force): entry n
-    counts the cranks of the partitions of n.
+def crank_counts_by_enumeration(N: int) -> tuple:
+    """Combinatorial crank counts to order N (brute force), laid out as
+    ``build_crank_table`` lays out its table: 2N+1 row tuples M[m][n], where
+    M(m, n) is the number of partitions of n with crank m.
 
     One walk over the partitions of N serves every order: a partition of n
     is a partition of N with N - n of its ones removed.  So each partition
@@ -205,17 +207,18 @@ def crank_counts_by_enumeration(N: int) -> list[Counter]:
     of lam above w, less w; a pointer walks down lam as w grows.
 
     Agrees with the generating-function table for n = 0 and n >= 2; the
-    n = 1 row intentionally differs (see module docstring).
+    column n = 1 holds the combinatorial count M(-1, 1) = 1 (see the module
+    docstring).
     """
-    # rows[n][m], a negative crank m from the end: plain list increments,
-    # about twice as fast as Counter's
-    rows = [[0] * (2 * N + 1) for _ in range(N + 1)]
+    # columns[n][m], a negative crank m from the end; the table is their
+    # transpose
+    columns = [[0] * (2 * N + 1) for _ in range(N + 1)]
     for partition in partitions_of(N):
         t = partition.count(1)
         above = len(partition) - t
-        rows[N - t][partition[0] if above else 0] += 1
+        columns[N - t][partition[0] if above else 0] += 1
         for w in range(1, t + 1):
             while above and partition[above - 1] <= w:
                 above -= 1
-            rows[N - t + w][above - w] += 1
-    return [Counter({m: v for m in range(-n, n + 1) if (v := row[m])}) for n, row in enumerate(rows)]
+            columns[N - t + w][above - w] += 1
+    return tuple(zip(*columns))

@@ -81,7 +81,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
         yield ("crank expansion paths agree", same, f"order {TELESCOPE_N}")
 
         counts = crank.crank_counts_by_enumeration(30)
-        bad = sum(1 for n in range(2, 31) for m in range(-n, n + 1) if counts[n].get(m, 0) != crank_t[m][n])
+        bad = sum(1 for m in range(-30, 31) if counts[m][2:] != crank_t[m][2:31])
         yield ("combinatorial crank counts", bad == 0, "2 <= n <= 30")
 
 

@@ -79,7 +79,7 @@ def table1(args, guard):
     # big-integer loops hold the GIL, so worker threads only add start-up.
     # Every row is formatted before any is written, so an abort writes none
     rows = []
-    for L in sorted(args.l_values):
+    for L in args.l_values:
         for m, n, kind in ((L * L, L * L, "diagonal "), (L * L, L * L + L, "off-diag ")):
             v = bipartite.pi_value(m, n, G)
             rows.append(row.format(L=L, m=m, n=n, kind=kind, v=v, **_versus(v, asym_pi(m, n))))

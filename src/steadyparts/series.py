@@ -187,6 +187,8 @@ def euler_product(exponent_step: int, order: int) -> CoefficientTable:
     """
     if exponent_step < 1:
         raise ValueError("exponent step must be a positive integer")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     out = [1] + [0] * order
     for g, sign in _pentagonal_offsets(order, exponent_step):
         out[g] = sign

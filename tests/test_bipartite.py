@@ -165,6 +165,13 @@ class TestPiValue:
             d_value(30, 11, build_g_table(10))
         assert d_value(30, 11, build_g_table(11)) == 0
 
+    def test_negative_arguments_raise(self, g_table):
+        # d_value relies on pi_value's check
+        for value in (pi_value, d_value):
+            for m, n in ((-1, 3), (3, -1)):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    value(m, n, g_table)
+
 
 class TestThreeWayAgreement:
     def test_box_ten(self, g_table, c_table, alpha200):

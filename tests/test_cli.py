@@ -380,6 +380,25 @@ class TestVerify:
         ]
         assert res.stderr == "3 check(s) failed\n"
 
+    def test_miscounted_crank_fails_only_the_count_check(self, run_cli, monkeypatch):
+        # --inject-fault leaves the brute-force counts alone: one count off
+        # by one, at (m, n) = (3, 20), must fail that check and no other
+        from steadyparts import crank
+
+        real = crank.crank_counts_by_enumeration
+
+        def miscount(N):
+            counts = [list(row) for row in real(N)]
+            counts[3][20] += 1
+            return tuple(map(tuple, counts))
+
+        monkeypatch.setattr(crank, "crank_counts_by_enumeration", miscount)
+        res = run_cli(["verify", "--deep"])
+        assert res.code == 1
+        failed = [line for line in res.stdout.splitlines() if not line.startswith("PASS  ")]
+        assert failed == ["FAIL  combinatorial crank counts (2 <= n <= 30)"]
+        assert res.stderr == "1 check(s) failed\n"
+
     def test_injected_fault_fails(self, run_cli):
         res = run_cli(["verify", "--box", "5", "--inject-fault"])
         assert res.code == 1

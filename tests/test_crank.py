@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from steadyparts.crank import (
@@ -79,13 +77,28 @@ class TestBuild:
         # of 1000 are nonnegative, sum to p(1000), and have second moment
         # sum m^2 M(m, n) = 2n p(n) (Dyson 1989); M(-m, n) = M(m, n)
         n = 1000
-        p = build_p_table(n)
+        p = build_p_table(2000)
         row = {m: crank_value_direct(m, n, p) for m in range(-n - 1, n + 2)}
         assert row[n + 1] == row[-n - 1] == 0
         assert row[n] == row[-n] == 1
         assert all(row[-m] == row[m] >= 0 for m in range(n + 1))
         assert sum(row.values()) == p[n]
         assert sum(m * m * v for m, v in row.items()) == 2 * n * p[n]
+        # near n = 2000, the crank classes mod 5, 7 and 11 are equal at
+        # n = 4, 5 and 6 of each modulus (Andrews and Garvan 1988), and the
+        # row is unimodal, M(m, n) >= M(m + 1, n) for 0 <= m <= n - 2 (Ji and
+        # Zang 2021).  These read the same p table, and theta_coefficient
+        # through crank_value_direct, as the values they check: they test
+        # the closed form, not p
+        for modulus, n in ((5, 1999), (7, 2000), (11, 1997)):
+            row = [crank_value_direct(m, n, p) for m in range(n + 1)]
+            classes = [0] * modulus
+            for m, v in enumerate(row):
+                classes[m % modulus] += v
+                if m:
+                    classes[-m % modulus] += v
+            assert classes == [p[n] // modulus] * modulus, n
+            assert all(a >= b for a, b in zip(row, row[1:n])), n
 
     def test_column_builder(self, table100, p200):
         for m in (0, 3, 5, -3, -5):
@@ -144,27 +157,32 @@ class TestCombinatorial:
                     want = partition[0] if partition else 0
                 assert crank_of(partition) == want, partition
 
-    def test_enumeration_matches_table(self, table100):
-        # generating-function convention: rows agree for n >= 2 but not n = 1
-        counts = crank_counts_by_enumeration(30)
-        assert len(counts) == 31
-        for n in range(2, 31):
-            for m in range(-n, n + 1):
-                assert counts[n].get(m, 0) == table100[m][n], (m, n)
+    def test_enumeration_matches_table(self):
+        # the same layout as the generating-function table, and the same
+        # numbers in every column but n = 1
+        for N in (0, 1, 2, 25, 30):
+            counts = crank_counts_by_enumeration(N)
+            table = build_crank_table(N)
+            assert len(counts) == len(table) == 2 * N + 1
+            assert all(len(row) == N + 1 for row in counts)
+            assert [row[:1] + row[2:] for row in counts] == [row[:1] + row[2:] for row in table], N
 
     def test_n1_row_differs_by_convention(self, table100):
-        assert crank_counts_by_enumeration(1)[1] == {-1: 1}
-        assert table100[0][1] == -1  # GF coefficient, not a count
+        counts = crank_counts_by_enumeration(1)
+        assert [counts[m][1] for m in (-1, 0, 1)] == [1, 0, 0]  # the partition (1,)
+        assert [table100[m][1] for m in (-1, 0, 1)] == [1, -1, 1]  # GF coefficients, not counts
 
     @pytest.mark.parametrize("N", [0, 1, 25])
     def test_one_walk_matches_each_order_alone(self, p200, N):
         # the partitions of n < N come from peeling ones off those of N;
         # crank_of over each order's own walk is the definition-level oracle
         counts = crank_counts_by_enumeration(N)
-        assert len(counts) == N + 1
         for n in range(N + 1):
-            assert counts[n] == Counter(map(crank_of, partitions_of(n))), n
-            assert sum(counts[n].values()) == p200[n], n
+            column = [0] * (2 * N + 1)
+            for partition in partitions_of(n):
+                column[crank_of(partition)] += 1
+            assert [row[n] for row in counts] == column, n
+            assert sum(column) == p200[n], n
 
 
 class TestEquidistribution:

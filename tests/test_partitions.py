@@ -9,7 +9,7 @@ from steadyparts.partitions import (
     c_values_via_inversion,
     g_values_via_chain,
 )
-from steadyparts.crank import build_crank_table, build_crank_table_lambert
+from steadyparts.crank import build_crank_table, build_crank_table_lambert, crank_counts_by_enumeration, partitions_of
 from steadyparts.series import divide_by_euler, divide_by_phi, euler_product, invert, mul
 
 
@@ -43,10 +43,27 @@ def test_every_table_is_a_tuple():
     tables = [
         build_p_table(20), build_c_table(20), g_values_via_chain(20), c_values_via_inversion(20),
         euler_product(2, 20), mul(euler_product(1, 20), build_p_table(20)), invert(euler_product(1, 20)),
-        *build_crank_table(5), *build_crank_table_lambert(5),
+        *build_crank_table(5), *build_crank_table_lambert(5), *crank_counts_by_enumeration(5),
     ]
     for table in tables:
         assert isinstance(table, tuple)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_p_table, build_c_table, build_g_table, g_values_via_chain, c_values_via_inversion,
+        lambda N: euler_product(1, N), build_crank_table, build_crank_table_lambert,
+        crank_counts_by_enumeration, lambda N: list(partitions_of(N)),
+    ],
+    ids=[
+        "p", "c", "g", "g_chain", "c_inversion", "euler_product", "crank_table", "crank_lambert",
+        "crank_enumeration", "partitions_of",
+    ],
+)
+def test_builders_reject_negative_orders(build):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        build(-1)
 
 
 class TestPartitionTable:
