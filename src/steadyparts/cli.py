@@ -4,7 +4,8 @@ under a resource guard.  `steadyparts --help` lists the commands.
 Only asym's body is here.  table1, compute and crank-row are in
 steadyparts.reports, and verify is in steadyparts.oracles.  The package
 compiles those on first use (see steadyparts/__init__), so a process
-compiles only the command it runs.
+compiles only the command it runs; asym reads asymptotics and formatting
+through their modules for the same reason, and verify compiles neither.
 
 A resource guard (default 8 GiB / 30 minutes, overridable through
 STEADYPARTS_TIME_LIMIT_S and STEADYPARTS_MEM_LIMIT_BYTES) aborts oversized
@@ -18,9 +19,7 @@ import sys
 import threading
 import types
 
-from . import bipartite, oracles, reports
-from .asymptotics import asym_D, asym_D_applies, asym_pi
-from .formatting import sci_from_log
+from . import asymptotics, bipartite, formatting, oracles, reports
 
 DEFAULT_TIME_LIMIT_S = 30 * 60
 DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
@@ -102,9 +101,9 @@ def _cannot_write(reason: str):
 def asym(args, guard):
     """Asymptotic main terms for pi(m,n) and D(m,n)."""
     m, n = args.m, args.n
-    print(f"asym_pi({m},{n}) = {sci_from_log(asym_pi(m, n))}")
-    if asym_D_applies(m, n):
-        print(f"asym_D({m},{n})  = {sci_from_log(asym_D(m, n))}")
+    print(f"asym_pi({m},{n}) = {formatting.sci_from_log(asymptotics.asym_pi(m, n))}")
+    if asymptotics.asym_D_applies(m, n):
+        print(f"asym_D({m},{n})  = {formatting.sci_from_log(asymptotics.asym_D(m, n))}")
     else:
         print(f"asym_D({m},{n})  = n/a (requires 1 <= m <= 2n with min(m, 2n-m) >= 1)")
 

@@ -41,17 +41,19 @@ def build_crank_table(N: int) -> tuple:
     """Full table to order N from the quotient-of-products form.
 
     Each q-order n is one Python int, the column
-    C_n = sum_m M(m, n) Y^(m + N) with Y = 2^W: field m + N holds the
-    coefficient of zeta^m, so multiplying by zeta is ``<< W`` and by
-    zeta^{-1} is ``>> W``.  The columns start as (q;q)_N in field N and are
-    multiplied by the geometric factors 1/(1 - zeta q^j) and
-    1/(1 - zeta^{-1} q^j) for j = 1..N, one ascending pass each:
-    C_n += C_{n-j} << W, then C_n += C_{n-j} >> W.  Every partial product
-    has |zeta-degree| <= q-degree, so a source column n - j < N has empty
-    fields at m = -N and m = N: the right shift is exact, and the left
-    shift stays inside the 2N + 1 fields.  No field is masked or truncated
-    on the way; the ints are exact whatever carries pass between fields,
-    and only the final decode needs every field to fit in W bits.
+    C_n = sum_m M(m, n) Y^(m + n) with Y = 2^W: column n has its own
+    2n + 1 fields, and field m + n holds the coefficient of zeta^m.  The
+    columns start as (q;q)_N, in field n, and are multiplied by the
+    geometric factors 1/(1 - zeta q^j) and 1/(1 - zeta^{-1} q^j) for
+    j = 1..N, one ascending pass each.  A term zeta^m of column n - j sits
+    in its field m + n - j and goes to field m + 1 + n (times zeta) or
+    m - 1 + n (times zeta^{-1}) of column n, so both sweeps are left shifts:
+    C_n += C_{n-j} << W(j + 1), then C_n += C_{n-j} << W(j - 1).  Every
+    partial product has |zeta-degree| <= q-degree, so source fields
+    0..2(n - j) land in fields j - 1..2n - j + 1 of column n: no field
+    leaves its column.  No field is masked or truncated on the way; the
+    ints are exact whatever carries pass between fields, and only the
+    final decode needs every field to fit in W bits.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -59,20 +61,22 @@ def build_crank_table(N: int) -> tuple:
     # with crank m, and for n <= 1 |M| <= 1 = p(n).  One bit more holds the
     # sign, so every final field lies in [-2^(W-1), 2^(W-1)).
     W = divide_by_euler([1] + [0] * N)[-1].bit_length() + 1
-    C = [e << (N * W) for e in euler_product(1, N)]
+    C = [e << (n * W) for n, e in enumerate(euler_product(1, N))]
     for j in range(1, N + 1):
+        up = W * (j + 1)
         for n in range(j, N + 1):
-            C[n] += C[n - j] << W
+            C[n] += C[n - j] << up
+        down = W * (j - 1)
         for n in range(j, N + 1):
-            C[n] += C[n - j] >> W
+            C[n] += C[n - j] << down
     # decode: a bias of 2^(W-1) in every field makes each field a plain
-    # W-bit digit; column n reads only its fields |m| <= n
+    # W-bit digit; column n takes the bias of its 2n + 1 fields
     half = 1 << (W - 1)
     mask = (1 << W) - 1
     bias = half * (((1 << (W * (2 * N + 1))) - 1) // mask)
     columns = []
     for n, x in enumerate(C):
-        x = (x + bias) >> (W * (N - n))
+        x += bias >> (2 * W * (N - n))
         fields = []
         for _ in range(2 * n + 1):
             fields.append((x & mask) - half)
@@ -117,6 +121,8 @@ def build_crank_table_lambert(N: int) -> tuple:
 
 def crank_column(m: int, N: int, p_table: Sequence[int]) -> tuple:
     """The row M(m, 0..N), one ``crank_value_direct`` value per order."""
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     if len(p_table) <= N:
         raise IndexError("p table too short for the requested crank column")
     return tuple(crank_value_direct(m, n, p_table) for n in range(N + 1))
@@ -139,26 +145,27 @@ def crank_value_direct(m: int, n: int, p_table: Sequence[int]) -> int:
     return theta_coefficient(p_table, n - m, m) - theta_coefficient(p_table, n - m - 1, m + 1)
 
 
-def partitions_of(n: int) -> Iterator[tuple]:
-    """All partitions of n as non-increasing tuples of positive parts, in
-    decreasing lexicographic order.
+def _zs1(n: int) -> Iterator[tuple]:
+    """Walk the partitions of n in decreasing lexicographic order, yielding
+    ZS1's live state (parts, h, size) at each: the partition is parts[:size],
+    non-increasing, and parts[:h + 1] are its parts above 1, so h = -1 when
+    every part is 1.  The list is the same object every time, changed in
+    place between yields.
 
     Algorithm ZS1 of Zoghbi and Stojmenovic (Int. J. Comput. Math. 70,
-    1998): the parts live in one list pre-filled with ones, and h marks the
-    last part above 1.  Each step lowers that part by one and refills the
-    freed amount (the trailing ones plus one) with copies of the lowered
-    part and a remainder; a part of 2 just becomes a 1.
+    1998): the parts live in one list pre-filled with ones.  Each step
+    lowers the last part above 1 by one and refills the freed amount (the
+    trailing ones plus one) with copies of the lowered part and a
+    remainder; a part of 2 just becomes a 1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
     parts = [1] * n
-    parts[0] = n
-    size, h = 1, 0
-    yield (n,)
-    while parts[0] != 1:
+    size, h = min(n, 1), -1  # the partition (n), or () for n = 0
+    if n > 1:
+        parts[0], h = n, 0
+    yield parts, h, size
+    while h >= 0:
         k = parts[h]
         if k == 2:
             parts[h] = 1
@@ -178,6 +185,13 @@ def partitions_of(n: int) -> Iterator[tuple]:
                 if freed > 1:
                     h += 1
                     parts[h] = freed
+        yield parts, h, size
+
+
+def partitions_of(n: int) -> Iterator[tuple]:
+    """All partitions of n as non-increasing tuples of positive parts, in
+    decreasing lexicographic order (ZS1, see ``_zs1``)."""
+    for parts, _, size in _zs1(n):
         yield tuple(parts[:size])
 
 
@@ -204,7 +218,8 @@ def crank_counts_by_enumeration(N: int) -> tuple:
     is a partition of N with N - n of its ones removed.  So each partition
     lam + (t ones) of N yields lam + (w ones) for w = t, t-1, .., 0, whose
     crank is lam's largest part at w = 0 and otherwise the number of parts
-    of lam above w, less w; a pointer walks down lam as w grows.
+    of lam above w, less w; a pointer walks down lam as w grows.  The walk
+    is ``_zs1``'s, read in place: lam is parts[:h + 1] and t is size - h - 1.
 
     Agrees with the generating-function table for n = 0 and n >= 2; the
     column n = 1 holds the combinatorial count M(-1, 1) = 1 (see the module
@@ -213,12 +228,12 @@ def crank_counts_by_enumeration(N: int) -> tuple:
     # columns[n][m], a negative crank m from the end; the table is their
     # transpose
     columns = [[0] * (2 * N + 1) for _ in range(N + 1)]
-    for partition in partitions_of(N):
-        t = partition.count(1)
-        above = len(partition) - t
-        columns[N - t][partition[0] if above else 0] += 1
+    for parts, h, size in _zs1(N):
+        above = h + 1
+        t = size - above
+        columns[N - t][parts[0] if above else 0] += 1
         for w in range(1, t + 1):
-            while above and partition[above - 1] <= w:
+            while above and parts[above - 1] <= w:
                 above -= 1
             columns[N - t + w][above - w] += 1
     return tuple(zip(*columns))

@@ -28,7 +28,9 @@ but G's reader is a tuple, a ``series.CoefficientTable``.
 
 import math
 
-from .asymptotics import C
+# read through the module, so that a process that sizes no G table
+# (verify) never compiles asymptotics
+from . import asymptotics
 from .series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
 
 
@@ -121,7 +123,7 @@ def p_table_bytes(N: int) -> int:
 def g_table_bytes(N: int) -> int:
     """Bytes ``build_g_table(N)`` holds, from above: E to N // 2, where
     log E(i) ~ log G(2i) ~ C sqrt(2i)."""
-    return _table_bytes(N // 2, math.sqrt(2) * C)
+    return _table_bytes(N // 2, math.sqrt(2) * asymptotics.C)
 
 
 def g_values_via_chain(N: int) -> CoefficientTable:

@@ -56,15 +56,22 @@ def theta_coefficient(values, k: int, s: int) -> int:
     values[n] for 0 <= n <= k, `values` any sequence indexed from 0.
     K(k < 0, s) = 0.
 
-    O(sqrt(k)) terms for s >= 0: the offset of term l grows by l + s.
+    O(sqrt(k)) terms for s >= 0: the offset of term l grows by l + s.  The
+    even and odd terms are summed apart, each a sum of ints of one sign for
+    a positive t, and K is their difference, as in ``_divide_sparse``.
     """
-    total = 0
-    l = 0
+    plus = minus = 0
+    step = s
     while k >= 0:
-        total += -values[k] if l % 2 else values[k]
-        l += 1
-        k -= l + s
-    return total
+        plus += values[k]
+        step += 1
+        k -= step
+        if k < 0:
+            break
+        minus += values[k]
+        step += 1
+        k -= step
+    return plus - minus
 
 
 def _pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:

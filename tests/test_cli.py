@@ -748,7 +748,7 @@ class TestProcess:
             (["asym", "--m", "100", "--n", "100"], ["bipartite", "crank", "partitions", "series", "reports", "oracles"]),
             (["compute", "--m", "100", "--n", "100"], ["crank", "oracles"]),
             (["table1", "--L", "10"], ["crank", "oracles"]),
-            (["verify", "--box", "3"], ["reports"]),
+            (["verify", "--box", "3"], ["asymptotics", "formatting", "reports"]),
         ],
     )
     def test_runs_only_the_modules_a_command_calls(self, args, unused):

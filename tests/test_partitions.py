@@ -9,7 +9,13 @@ from steadyparts.partitions import (
     c_values_via_inversion,
     g_values_via_chain,
 )
-from steadyparts.crank import build_crank_table, build_crank_table_lambert, crank_counts_by_enumeration, partitions_of
+from steadyparts.crank import (
+    build_crank_table,
+    build_crank_table_lambert,
+    crank_column,
+    crank_counts_by_enumeration,
+    partitions_of,
+)
 from steadyparts.series import divide_by_euler, divide_by_phi, euler_product, invert, mul
 
 
@@ -54,11 +60,11 @@ def test_every_table_is_a_tuple():
     [
         build_p_table, build_c_table, build_g_table, g_values_via_chain, c_values_via_inversion,
         lambda N: euler_product(1, N), build_crank_table, build_crank_table_lambert,
-        crank_counts_by_enumeration, lambda N: list(partitions_of(N)),
+        crank_counts_by_enumeration, lambda N: list(partitions_of(N)), lambda N: crank_column(0, N, build_p_table(5)),
     ],
     ids=[
         "p", "c", "g", "g_chain", "c_inversion", "euler_product", "crank_table", "crank_lambert",
-        "crank_enumeration", "partitions_of",
+        "crank_enumeration", "partitions_of", "crank_column",
     ],
 )
 def test_builders_reject_negative_orders(build):

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steadyparts.series import _divide_sparse, euler_product, invert, mul, theta_coefficient
+from steadyparts.series import _divide_sparse, divide_by_euler, euler_product, invert, mul, theta_coefficient
 
 
 def expand_finite_product(factors, order):
@@ -166,3 +168,20 @@ class TestAlgebraicProperties:
         # bipartite.d_value takes
         for k in range(len(t)):
             assert theta_coefficient(t, k, s) == t[k] - theta_coefficient(t, k - 1 - s, s + 1)
+
+    @pytest.mark.parametrize("s", [0, 1, 7, 44])
+    def test_theta_coefficient_by_its_definition_over_big_ints(self, s):
+        # the even and odd terms are summed apart: check the difference
+        # against the definition, term by term, over p(0..2000) (up to 45
+        # digits), at seeded k with an odd and with an even number of terms
+        p = divide_by_euler([1] + [0] * 2000)
+        ks = [-3, -1, 0, 1, 2, s + 1, s + 2, 2000] + random.Random(s).sample(range(2001), 24)
+        parities = set()
+        for k in ks:
+            offsets = [k - l * (l + 1) // 2 - l * s for l in range(k + 1)]
+            terms = [(-1) ** l * p[i] for l, i in enumerate(offsets) if i >= 0]
+            if k >= 0:
+                parities.add(len(terms) % 2)
+            assert theta_coefficient(p, k, s) == sum(terms), k
+        assert theta_coefficient(p, -1, s) == 0
+        assert parities == {0, 1}
