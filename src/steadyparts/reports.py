@@ -72,7 +72,7 @@ def table1(args, guard):
     row = template[1]
     # both cells of a row have min(m, n) = L^2
     mu_max = max(L * L for L in args.l_values)
-    guard.require(partitions.g_table_bytes(mu_max))
+    guard.require(partitions.g_build_bytes(mu_max))
     G = partitions.build_g_table(mu_max)
 
     # the cells run in order on this thread, whatever --threads says: the
@@ -91,7 +91,7 @@ def compute(args, guard):
     m, n = args.m, args.n
     mu = min(m, n)
     # pi and D both read G up to mu
-    guard.require(partitions.g_table_bytes(mu))
+    guard.require(partitions.g_build_bytes(mu))
     G = partitions.build_g_table(mu)
     v = bipartite.pi_value(m, n, G)
     # asym_pi reads m as a float: one past a float's range aborts before any output

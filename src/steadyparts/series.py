@@ -97,7 +97,7 @@ def _square_offsets(limit: int) -> list[tuple[int, int]]:
     return [(k * k, 1 if k % 2 == 0 else -1) for k in range(1, math.isqrt(limit) + 1)]
 
 
-def _divide_sparse(coeffs: list, terms: list[tuple[int, int]], scale: int = 1) -> list:
+def _divide_sparse(coeffs: list, terms: list[tuple[int, int]], scale: int = 1, start: int = 0) -> list:
     """Divide the series `coeffs` in place by 1 + scale sum sign q^g over the
     (g, sign) pairs of `terms` (ascending, g >= 1, sign +-1), truncated to
     len(coeffs) terms, and return the list.
@@ -106,12 +106,16 @@ def _divide_sparse(coeffs: list, terms: list[tuple[int, int]], scale: int = 1) -
     a(n - g) over the offsets g <= n of sign +1 and down over those of sign -1,
     so O(sqrt(N)) terms cost O(N^1.5) big-integer additions.  The two sums are
     kept apart: adding big ints of one sign is cheaper than of mixed signs.
+
+    The division resumes at order `start`: coeffs[:start] must already hold
+    the quotient there, and only the orders from `start` on are updated.
     """
     plus, minus = [], []
     pending = iter(terms)
     g, sign = next(pending, (len(coeffs), 1))
-    for n in range(len(coeffs)):
-        if n == g:
+    for n in range(start, len(coeffs)):
+        # the first order takes every offset up to `start`, later ones at most one
+        while g <= n:
             (plus if sign > 0 else minus).append(g)
             g, sign = next(pending, (len(coeffs), 1))
         up = 0
@@ -134,14 +138,16 @@ def divide_by_euler(coeffs: list, step: int = 1) -> list:
     return _divide_sparse(coeffs, _pentagonal_offsets(len(coeffs) - 1, step))
 
 
-def divide_by_phi(coeffs: list) -> list:
+def divide_by_phi(coeffs: list, start: int = 0) -> list:
     """Divide the series `coeffs` by phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf in
-    place, truncated to len(coeffs) terms, and return the list.
+    place, truncated to len(coeffs) terms, and return the list; from order
+    `start` on, over a quotient already in coeffs[:start], as in
+    ``_divide_sparse``.
 
     Gauss's identity puts phi(-q)'s O(sqrt(N)) nonzero terms at the squares,
     each +-2, so the quotient costs O(N^1.5) big-integer additions.
     """
-    return _divide_sparse(coeffs, _square_offsets(len(coeffs) - 1), 2)
+    return _divide_sparse(coeffs, _square_offsets(len(coeffs) - 1), 2, start)
 
 
 def mul(a: Sequence[int], b: Sequence[int]) -> CoefficientTable:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from steadyparts.cli import asym
 from steadyparts.formatting import ratio_string, sci_from_int, sci_from_log
 from steadyparts.oracles import verify
 from steadyparts.crank import crank_value_direct
-from steadyparts.partitions import build_g_table, build_p_table, g_table_bytes, p_table_bytes
+from steadyparts.partitions import build_g_table, build_p_table, g_build_bytes, g_table_bytes, p_table_bytes
 from steadyparts.reports import BATCH, compute, crank_row, table1
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -203,6 +204,20 @@ class TestGuard:
         values = build_g_table(10000).half
         held = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
         assert held <= g_table_bytes(10000) <= 1.5 * held
+
+    @pytest.mark.parametrize("N", [4500, 10100, 16384, 40200])
+    def test_build_estimate_bounds_the_build_peak(self, N):
+        # what table1 and compute require: the held E table and the packed
+        # prefix, whole (N = 4500, 10100) or beside the resumed tail past it
+        build_g_table(2)  # the modules compiled before tracing
+        tracemalloc.start()
+        try:
+            G = build_g_table(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(G.half) == N // 2 + 1
+        assert peak <= g_build_bytes(N) <= 1.5 * peak
 
     def test_table_estimate_bounds_p_from_above(self):
         values = build_p_table(20000)
@@ -862,8 +877,11 @@ def test_every_public_name_resolves():
 # Byte identity of the CLI: (command, exit status, sha256 of stdout) for
 # table1 --L 10,40,70,100 and crank-row --n 300 in the three formats, compute
 # on the eight cells of bench/run.py's compute_cells(1) and on four tiny
-# ones, verify --deep and asym --m 100 --n 100.  Every command writes nothing
-# to stderr.  A change meant to alter these bytes regenerates the digests:
+# ones, verify --deep and asym --m 100 --n 100.  Three more cross the end of
+# G's packed prefix (partitions.PACKED_ORDERS = 8192 orders of E): table1
+# --L 200 runs the resumed divisions to E(20100), compute at mu = 16384
+# ends E at order 8192, the first past the prefix, and mu = 16386 at 8193.
+# Every command writes nothing to stderr.  A change meant to alter these bytes regenerates the digests:
 #     for args, _, _ in CLI_DIGESTS:
 #         res = invoke_cli(args.split())  # tests/conftest.py
 #         print(args, res.code, hashlib.sha256(res.stdout.encode()).hexdigest())
@@ -888,6 +906,9 @@ CLI_DIGESTS = [
     ("crank-row --n 300 --format json", 0, "cdfc51f58dbb90f8dc6da27006c5ca1675304b983a3ccb5dbd255b737b89d87e"),
     ("verify --deep", 0, "95f63f58b2cb3c6adbb3c393bcfcb9d2ad367bf667f53270b7444c95d5cec0f8"),
     ("asym --m 100 --n 100", 0, "aba4f8903c32e6bf1b71a884e10f67e72a8c9e5cff0c79ebe11b4d031b81d9a6"),
+    ("table1 --L 200", 0, "949813bce0cea63d5c05121359ce9824176e5f81d61d2fd8afdf79b99d0df7c5"),
+    ("compute --m 16384 --n 16384", 0, "062f103f659a4f99b476012c0871cd393229683e7c0c9e0f04a40c29f3aca317"),
+    ("compute --m 16390 --n 16386", 0, "8a2258b119a3f51841e3463d8cb2b1f1a8e04158b8aeb651f25cc04ce415b408"),
 ]
 
 

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from steadyparts import partitions
 from steadyparts.partitions import (
+    PACKED_ORDERS,
     build_c_table,
     build_g_table,
     build_p_table,
@@ -129,12 +131,29 @@ class TestGTable:
         assert tuple(build_g_table(3)) == (1, 2, 6, 12)
 
     def test_gauss_build_matches_chain_at_small_orders(self):
-        for N in range(65):
-            assert tuple(build_g_table(N)) == g_values_via_chain(N), N
+        # every order of E in the packed prefix, which at N <= 300 is all of E
+        chain = g_values_via_chain(300)
+        for N in range(301):
+            assert tuple(build_g_table(N)) == chain[: N + 1], N
 
-    @pytest.mark.parametrize("N", [2001, 10100])
+    @pytest.mark.parametrize("N", [2001, 10100, 40200])
     def test_gauss_build_matches_chain(self, N):
         assert tuple(build_g_table(N)) == g_values_via_chain(N)
+
+    def test_gauss_build_matches_chain_across_the_packed_prefix(self):
+        # E to N // 2 = PACKED_ORDERS - 1 is the packed prefix alone; from
+        # N = 2 PACKED_ORDERS on, the resumed divisions add orders past it
+        T = PACKED_ORDERS
+        chain = g_values_via_chain(2 * T + 3)
+        for N in range(2 * T - 2, 2 * T + 4):
+            assert tuple(build_g_table(N)) == chain[: N + 1], N
+
+    def test_a_field_too_narrow_changes_g(self, monkeypatch):
+        # negative control for the widths: with W1 halved, the sums of a1
+        # carry into a2's field, and G at 10100 is no longer the chain's
+        widths = partitions._packed_widths
+        monkeypatch.setattr(partitions, "_packed_widths", lambda length: (widths(length)[0] // 2, widths(length)[1]))
+        assert tuple(build_g_table(10100)) != g_values_via_chain(10100)
 
     @pytest.mark.parametrize("N", [2999, 3000])
     def test_reader_matches_chain_at_every_index(self, N):

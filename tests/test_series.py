@@ -133,6 +133,18 @@ class TestDivideSparse:
         assert _divide_sparse(coeffs, terms, scale) is coeffs
         assert mul(coeffs, divisor) == tuple(numerator)
 
+    @pytest.mark.parametrize("start", [0, 1, 4, 5, 30])
+    def test_resumed_division_is_the_full_one(self, start):
+        # a list whose first `start` entries already hold the quotient, the
+        # numerator past them (none at start = 30, its length): dividing
+        # from `start` on completes it
+        terms = [(k * k, 1 if k % 2 == 0 else -1) for k in range(1, 6)]
+        rng = random.Random(start)
+        numerator = [rng.randint(-99, 99) for _ in range(30)]
+        quotient = _divide_sparse(list(numerator), terms, 2)
+        coeffs = quotient[:start] + numerator[start:]
+        assert _divide_sparse(coeffs, terms, 2, start) == quotient
+
 
 small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=6, max_size=6).map(tuple)
 
