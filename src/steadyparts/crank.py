@@ -8,19 +8,18 @@ expanded to q-order N, as 2N+1 row tuples indexed M[m][n]: rows m = 0..N,
 then m = -N..-1, so a negative m is Python's negative index.  Every route
 returns that layout, or one row of it, and the tests compare them:
 
-* ``build_crank_table``            -- quotient-of-products expansion, with
-                                      each q-order packed into one int of
-                                      W-bit zeta fields, so the geometric
-                                      factors are swept by shifts and adds;
-                                      W holds p(N) and a sign bit;
 * ``build_crank_table_lambert``    -- the (1 - zeta) * Lambert-sum form of
-                                      the same generating function;
+                                      the same generating function, the one
+                                      series expansion of the table and the
+                                      closed form's small-order oracle;
 * ``crank_value_direct``           -- one M(m, n) in closed form, a
                                       difference of two
                                       ``series.theta_coefficient`` sums over
                                       the p tuple; the only route that scales
-                                      to q-orders in the thousands, and
-                                      ``crank_column`` is its row;
+                                      to q-orders in the thousands.
+                                      ``crank_column`` is its row, and
+                                      ``build_crank_table`` its rows m >= 0,
+                                      mirrored;
 * ``crank_counts_by_enumeration``  -- the combinatorial counts, by brute
                                       force over the partitions of N.
 
@@ -38,53 +37,13 @@ from .series import divide_by_euler, euler_product, invert, mul, theta_coefficie
 
 
 def build_crank_table(N: int) -> tuple:
-    """Full table to order N from the quotient-of-products form.
-
-    Each q-order n is one Python int, the column
-    C_n = sum_m M(m, n) Y^(m + n) with Y = 2^W: column n has its own
-    2n + 1 fields, and field m + n holds the coefficient of zeta^m.  The
-    columns start as (q;q)_N, in field n, and are multiplied by the
-    geometric factors 1/(1 - zeta q^j) and 1/(1 - zeta^{-1} q^j) for
-    j = 1..N, one ascending pass each.  A term zeta^m of column n - j sits
-    in its field m + n - j and goes to field m + 1 + n (times zeta) or
-    m - 1 + n (times zeta^{-1}) of column n, so both sweeps are left shifts:
-    C_n += C_{n-j} << W(j + 1), then C_n += C_{n-j} << W(j - 1).  Every
-    partial product has |zeta-degree| <= q-degree, so source fields
-    0..2(n - j) land in fields j - 1..2n - j + 1 of column n: no field
-    leaves its column.  No field is masked or truncated on the way; the
-    ints are exact whatever carries pass between fields, and only the
-    final decode needs every field to fit in W bits.
-    """
+    """Full table to order N, one ``crank_column`` row for each m = 0..N over
+    the p table; the rows m = -N..-1 repeat them, as M(-m, n) = M(m, n)."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    # |M(m, n)| <= p(n) <= p(N): for n >= 2 M counts the partitions of n
-    # with crank m, and for n <= 1 |M| <= 1 = p(n).  One bit more holds the
-    # sign, so every final field lies in [-2^(W-1), 2^(W-1)).
-    W = divide_by_euler([1] + [0] * N)[-1].bit_length() + 1
-    C = [e << (n * W) for n, e in enumerate(euler_product(1, N))]
-    for j in range(1, N + 1):
-        up = W * (j + 1)
-        for n in range(j, N + 1):
-            C[n] += C[n - j] << up
-        down = W * (j - 1)
-        for n in range(j, N + 1):
-            C[n] += C[n - j] << down
-    # decode: a bias of 2^(W-1) in every field makes each field a plain
-    # W-bit digit; column n takes the bias of its 2n + 1 fields
-    half = 1 << (W - 1)
-    mask = (1 << W) - 1
-    bias = half * (((1 << (W * (2 * N + 1))) - 1) // mask)
-    columns = []
-    for n, x in enumerate(C):
-        x += bias >> (2 * W * (N - n))
-        fields = []
-        for _ in range(2 * n + 1):
-            fields.append((x & mask) - half)
-            x >>= W
-        pad = [0] * (N - n)
-        columns.append(pad + fields + pad)
-    rows = list(zip(*columns))  # rows m = -N..N
-    return tuple(rows[N:] + rows[:N])
+    p = divide_by_euler([1] + [0] * N)
+    rows = [crank_column(m, N, p) for m in range(N + 1)]
+    return tuple(rows + rows[:0:-1])
 
 
 def build_crank_table_lambert(N: int) -> tuple:

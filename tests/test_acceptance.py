@@ -176,19 +176,23 @@ def test_criterion_4_difference_identity(p_big, c_big, g_big):
 def test_criterion_5_crank_soundness(p_big):
     N = 100
     table = build_crank_table(N)
-    ok = len(table) == 2 * N + 1
+    # the closed-form table mirrors its rows m >= 0 and sums to whatever p
+    # it reads, so the identities are read off the Lambert expansion, which
+    # builds rows m and -m apart and reads p by dense inversion
+    lam = build_crank_table_lambert(N)
+    ok = len(table) == len(lam) == 2 * N + 1
     for n in range(N + 1):
-        if sum(table[m][n] for m in range(-n, n + 1)) != p_big[n]:
+        if sum(lam[m][n] for m in range(-n, n + 1)) != p_big[n]:
             ok = False
-        # symmetry M(-m, n) = M(m, n), read from distinct swept rows
+        # symmetry M(-m, n) = M(m, n)
         for m in range(1, n + 1):
-            if table[-m][n] != table[m][n]:
+            if lam[-m][n] != lam[m][n]:
                 ok = False
         # support: M(+-m, n) = 0 for every stored m > n
         for m in range(n + 1, N + 1):
             if table[m][n] != 0 or table[-m][n] != 0:
                 ok = False
-    paths_agree = build_crank_table_lambert(N) == table
+    paths_agree = lam == table
     ok = ok and paths_agree
     # the brute-force counts to 40 against the table's rows |m| <= 40, n >= 2
     counts = crank_counts_by_enumeration(40)

@@ -414,6 +414,43 @@ class TestVerify:
         assert failed == ["FAIL  combinatorial crank counts (2 <= n <= 30)"]
         assert res.stderr == "1 check(s) failed\n"
 
+    @pytest.mark.parametrize(
+        "name, corrupt, args, failed",
+        [
+            pytest.param(
+                # M(+-3, 20) off by one in crank-row's closed form, which the
+                # crank table is built from
+                "crank_value_direct",
+                lambda real: lambda m, n, p: real(m, n, p) + ((abs(m), n) == (3, 20)),
+                ["verify", "--deep"],
+                [
+                    "FAIL  telescoping D identity (1681 cells, n <= 40)",
+                    "FAIL  crank marginals equal p(n) (n <= 100)",
+                    "FAIL  crank expansion paths agree (order 40)",
+                    "FAIL  combinatorial crank counts (2 <= n <= 30)",
+                ],
+                id="closed-form-value",
+            ),
+            pytest.param(
+                # p(60) off by one in the p the crank table reads: the
+                # marginals are compared with a p from another route
+                "divide_by_euler",
+                lambda real: lambda coeffs: [x + (i == 60) for i, x in enumerate(real(coeffs))],
+                ["verify"],
+                ["FAIL  crank marginals equal p(n) (n <= 100)"],
+                id="table-p",
+            ),
+        ],
+    )
+    def test_corrupted_closed_form_fails_verify(self, run_cli, monkeypatch, name, corrupt, args, failed):
+        from steadyparts import crank
+
+        monkeypatch.setattr(crank, name, corrupt(getattr(crank, name)))
+        res = run_cli(args)
+        assert res.code == 1
+        assert [line for line in res.stdout.splitlines() if not line.startswith("PASS  ")] == failed
+        assert res.stderr == f"{len(failed)} check(s) failed\n"
+
     def test_injected_fault_fails(self, run_cli):
         res = run_cli(["verify", "--box", "5", "--inject-fault"])
         assert res.code == 1

@@ -18,6 +18,12 @@ def table100():
 
 
 @pytest.fixture(scope="module")
+def lambert100():
+    # the closed form's reference: the one series expansion of the table
+    return build_crank_table_lambert(100)
+
+
+@pytest.fixture(scope="module")
 def p200():
     return build_p_table(200)
 
@@ -42,12 +48,11 @@ class TestBuild:
         for n in range(101):
             assert sum(table100[m][n] for m in range(-n, n + 1)) == p200[n]
 
-    def test_both_expansion_paths_agree_to_100(self, table100):
-        lam = build_crank_table_lambert(100)
-        assert len(lam) == len(table100) == 201
-        assert lam == table100
+    def test_both_expansion_paths_agree_to_100(self, table100, lambert100):
+        assert len(lambert100) == len(table100) == 201
+        assert lambert100 == table100
 
-    # the small orders reach the edge rows of the swept triangle
+    # the small orders reach the edge rows m = +-N and the column n = 1
     @pytest.mark.parametrize("N", [*range(13), 40])
     def test_both_expansion_paths_agree_at_small_orders(self, N):
         table = build_crank_table(N)
@@ -55,22 +60,25 @@ class TestBuild:
         assert build_crank_table_lambert(N) == table
 
     def test_order_200_rows_match_closed_form(self, p200):
-        # a large-order oracle that shares no code with the packed sweep;
-        # row +-200 holds only the one partition with crank +-200
+        # the Lambert expansion reads p by dense inversion, not through
+        # divide_by_euler; row +-200 holds only the one partition with
+        # crank +-200
         table = build_crank_table(200)
+        lam = build_crank_table_lambert(200)
+        assert table == lam
         for m in (0, 1, -1, 2, -2, 7, -7, 50, -50, 200, -200):
-            assert table[m] == crank_column(m, 200, p200), m
+            assert lam[m] == crank_column(m, 200, p200), m
         for n in range(201):
             assert sum(table[m][n] for m in range(-n, n + 1)) == p200[n], n
 
-    def test_column_formula_agrees(self, table100, p200):
+    def test_column_formula_agrees(self, lambert100, p200):
         for m in range(-100, 101):
-            assert crank_column(m, 100, p200) == table100[m]
+            assert crank_column(m, 100, p200) == lambert100[m]
 
-    def test_direct_value_agrees(self, table100, p200):
+    def test_direct_value_agrees(self, lambert100, p200):
         for n in range(0, 101, 7):
             for m in range(-n, n + 1):
-                assert crank_value_direct(m, n, p200) == table100[m][n]
+                assert crank_value_direct(m, n, p200) == lambert100[m][n]
 
     def test_direct_values_at_order_1000(self):
         # beyond the full tables' reach: the crank counts of the partitions
@@ -100,9 +108,9 @@ class TestBuild:
             assert classes == [p[n] // modulus] * modulus, n
             assert all(a >= b for a, b in zip(row, row[1:n])), n
 
-    def test_column_builder(self, table100, p200):
+    def test_column_builder(self, lambert100, p200):
         for m in (0, 3, 5, -3, -5):
-            assert crank_column(m, 100, p200) == table100[m]
+            assert crank_column(m, 100, p200) == lambert100[m]
         with pytest.raises(IndexError):
             crank_column(0, 201, p200)
 
@@ -111,11 +119,11 @@ class TestAccessor:
     def test_outside_support(self, table100):
         assert table100[7][3] == table100[-7][3] == 0
 
-    def test_symmetry(self, table100):
-        # M(-m, n) = M(m, n), read from distinct swept rows
+    def test_symmetry(self, lambert100):
+        # M(-m, n) = M(m, n); the Lambert form builds rows m and -m apart
         for n in range(101):
             for m in range(1, n + 1):
-                assert table100[-m][n] == table100[m][n], (m, n)
+                assert lambert100[-m][n] == lambert100[m][n], (m, n)
 
     def test_extreme_crank_is_one(self, table100):
         # only the single-part partition of n has crank n (n >= 2)
