@@ -15,7 +15,8 @@ when many cells share small orders:
 Independent routes are kept as oracles, for the tests and ``verify`` only:
 
 * ``pi_value_by_alpha``     -- the c/alpha convolution, one sum against a
-                               row ``alpha_row(s, K, p)`` the caller builds;
+                               row alpha(s, 0..K) the caller builds, which
+                               is ``series.theta_row(p, s, K)``;
 * ``d_value_by_crank``      -- D through the crank convolution c * M, one sum
                                against a slice of one crank row;
 * ``gf_table``              -- direct box expansion of the Carlitz generating
@@ -29,7 +30,7 @@ The oracles slice the p and c tuples; none keeps a table alive between calls.
 """
 
 from collections.abc import Sequence
-from operator import add, mul, sub
+from operator import add, mul
 
 from .series import theta_coefficient
 
@@ -55,30 +56,11 @@ def d_value(m: int, n: int, G: Sequence[int]) -> int:
     return pi_value(m, n, G) - (pi_value(m - 1, n, G) if m else 0)
 
 
-def alpha_row(s: int, K: int, p: Sequence[int]) -> tuple:
-    """The row alpha(s, 0..K), where
-
-        alpha(s, k) = sum over l >= 0 of (-1)^l p(k - l(l+1)/2 - l s).
-
-    Term l of every entry at once is p shifted right by l(l+1)/2 + l s, so
-    the row starts as p(0..K) and each shift that stays below K adds or
-    subtracts one slice of p: O(sqrt(K)) slices in all.
-    """
-    if s < 0 or K < 0:
-        raise ValueError("alpha takes nonnegative arguments")
-    if len(p) <= K:
-        raise IndexError("p table too short for alpha")
-    row = list(p[:K + 1])
-    l = 1
-    while (off := l * (l + 1) // 2 + l * s) <= K:
-        row[off:] = map(sub if l % 2 else add, row[off:], p[:K + 1 - off])
-        l += 1
-    return tuple(row)
-
-
 def pi_value_by_alpha(m: int, n: int, c: Sequence[int], alpha) -> int:
     """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k),
-    with `alpha` anything indexed alpha[s][k], such as rows of ``alpha_row``."""
+    where alpha(s, k) = sum_{l >= 0} (-1)^l p(k - l(l+1)/2 - l s) and
+    `alpha` is anything indexed alpha[s][k], such as rows of
+    ``series.theta_row`` over p."""
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
     mu = min(m, n)

@@ -166,7 +166,7 @@ COMMANDS = {
     "table1": (lambda: reports.table1, (("--L", "l_values", _l_list, "10,40", "comma-separated list of L values"), FORMAT)),
     "compute": (lambda: reports.compute, (("--m", "m", _int_range(0), REQUIRED, ""), ("--n", "n", _int_range(0), REQUIRED, ""))),
     "verify": (lambda: oracles.verify, (
-        ("--deep", "deep", None, False, "also compare both crank expansions and brute-force crank counts"),
+        ("--deep", "deep", None, False, "also compare the closed-form crank table with per-cell values, Lambert and brute force"),
         ("--box", "box", _box, "10", lambda: f"side of the checked pi box, 1..{bipartite.PRODUCT_CAP}"),
         ("--inject-fault", "inject_fault", None, False, None),  # a negative control for the tests
     )),

@@ -6,20 +6,21 @@ A table holds the coefficients of the crank generating function
 
 expanded to q-order N, as 2N+1 row tuples indexed M[m][n]: rows m = 0..N,
 then m = -N..-1, so a negative m is Python's negative index.  Every route
-returns that layout, or one row of it, and the tests compare them:
+returns that layout, or one row or value of it, and the tests compare them:
 
+* ``build_crank_table``            -- the closed form's rows, each the
+                                      shifted difference of two
+                                      ``series.theta_row`` rows over p;
+                                      ``crank_column`` is one of them;
+* ``crank_value_direct``           -- one M(m, n) in closed form, a
+                                      difference of two
+                                      ``series.theta_coefficient`` sums over
+                                      the p tuple: crank-row's route, which
+                                      runs over m at fixed n;
 * ``build_crank_table_lambert``    -- the (1 - zeta) * Lambert-sum form of
                                       the same generating function, the one
                                       series expansion of the table and the
                                       closed form's small-order oracle;
-* ``crank_value_direct``           -- one M(m, n) in closed form, a
-                                      difference of two
-                                      ``series.theta_coefficient`` sums over
-                                      the p tuple; the only route that scales
-                                      to q-orders in the thousands.
-                                      ``crank_column`` is its row, and
-                                      ``build_crank_table`` its rows m >= 0,
-                                      mirrored;
 * ``crank_counts_by_enumeration``  -- the combinatorial counts, by brute
                                       force over the partitions of N.
 
@@ -33,17 +34,26 @@ from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from operator import neg, sub
 
-from .series import divide_by_euler, euler_product, invert, mul, theta_coefficient
+from .series import divide_by_euler, euler_product, invert, mul, theta_coefficient, theta_row
 
 
 def build_crank_table(N: int) -> tuple:
-    """Full table to order N, one ``crank_column`` row for each m = 0..N over
-    the p table; the rows m = -N..-1 repeat them, as M(-m, n) = M(m, n)."""
+    """Full table to order N over the p table: the rows m = 0..N, each from
+    the theta rows T_m and T_{m+1}, so that every T_s serves two rows; the
+    rows m = -N..-1 repeat them, as M(-m, n) = M(m, n)."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     p = divide_by_euler([1] + [0] * N)
-    rows = [crank_column(m, N, p) for m in range(N + 1)]
+    T = [theta_row(p, s, N - s) for s in range(N + 2)]
+    rows = [_crank_row(m, T[m], T[m + 1]) for m in range(N + 1)]
     return tuple(rows + rows[:0:-1])
+
+
+def _crank_row(m: int, T: tuple, U: tuple) -> tuple:
+    """The row M(m, 0..N), m >= 0, from the theta rows over p
+    T = theta_row(p, m, N - m) and U = theta_row(p, m + 1, N - m - 1):
+    M(m, n) = T[n - m] - U[n - m - 1] (``crank_value_direct``), 0 for n < m."""
+    return (0,) * m + T[:1] + tuple(map(sub, T[1:], U))
 
 
 def build_crank_table_lambert(N: int) -> tuple:
@@ -79,12 +89,15 @@ def build_crank_table_lambert(N: int) -> tuple:
 
 
 def crank_column(m: int, N: int, p_table: Sequence[int]) -> tuple:
-    """The row M(m, 0..N), one ``crank_value_direct`` value per order."""
+    """The row M(m, 0..N), as ``build_crank_table`` builds it."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     if len(p_table) <= N:
         raise IndexError("p table too short for the requested crank column")
-    return tuple(crank_value_direct(m, n, p_table) for n in range(N + 1))
+    m = abs(m)
+    if m > N:
+        return (0,) * (N + 1)
+    return _crank_row(m, theta_row(p_table, m, N - m), theta_row(p_table, m + 1, N - m - 1))
 
 
 def crank_value_direct(m: int, n: int, p_table: Sequence[int]) -> int:

@@ -27,7 +27,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     K = max(TELESCOPE_N, box)
     p = partitions.build_p_table(K)
     c = partitions.c_values_via_inversion(K)
-    alpha = [bipartite.alpha_row(s, K, p) for s in range(K + 1)]
+    alpha = [series.theta_row(p, s, K) for s in range(K + 1)]
     # thousands of small cells read each coefficient many times: index a
     # tuple, not the reader
     G = tuple(partitions.build_g_table(K))
@@ -77,7 +77,11 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     yield ("pi symmetry", bad == 0, f"box {box}x{box}")
 
     if deep:
-        same = crank.build_crank_table_lambert(TELESCOPE_N) == crank_t
+        # the table's rows against the Lambert expansion, and its cells
+        # against crank-row's per-cell closed form, which the table never reads
+        same = crank.build_crank_table_lambert(TELESCOPE_N) == crank_t and all(
+            crank.crank_value_direct(m, n, p) == crank_t[m][n] for n in range(t + 1) for m in range(n + 1)
+        )
         yield ("crank expansion paths agree", same, f"order {TELESCOPE_N}")
 
         counts = crank.crank_counts_by_enumeration(30)

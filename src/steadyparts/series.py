@@ -6,7 +6,9 @@ coefficients, a ``CoefficientTable``; readers take any sequence indexed from
 reads through a table of half its order.  ``theta_coefficient`` is the fast
 path's one short sum per cell: a coefficient of a table times the partial
 theta series sum_l (-1)^l q^(l(l+1)/2 + l s), which gives pi and D over G
-and the crank counts M over the p table.
+and the crank counts M over the p table.  ``theta_row`` is the same sum for
+every order up to K at once, from slice passes: the crank table's rows and
+the c/alpha oracle's alpha rows, both over p.
 
 Two classical series have a sparse support: Euler's pentagonal number
 theorem puts the terms of (q^s;q^s)_inf at s times the generalized
@@ -29,6 +31,7 @@ Tables are immutable and safe to share across threads.
 
 import math
 from collections.abc import Sequence
+from operator import add, sub
 
 
 class CoefficientTable(tuple):
@@ -72,6 +75,27 @@ def theta_coefficient(values, k: int, s: int) -> int:
         step += 1
         k -= step
     return plus - minus
+
+
+def theta_row(values, s: int, K: int) -> tuple:
+    """The row K(0..K, s) of ``theta_coefficient`` over `values`, empty for
+    K < 0.
+
+    Term l of every entry at once is `values` shifted right by
+    l(l+1)/2 + l s, so the row starts as values[0..K] and each shift that
+    stays below K adds or subtracts one slice of `values`: O(sqrt(K)) slice
+    passes, and no code shared with ``theta_coefficient``'s loop.
+    """
+    if s < 0:
+        raise ValueError("theta_row takes a nonnegative s")
+    if len(values) <= K:
+        raise IndexError("values too short for theta_row")
+    row = list(values[:K + 1])
+    l = 1
+    while (off := l * (l + 1) // 2 + l * s) <= K:
+        row[off:] = map(sub if l % 2 else add, row[off:], values[:K + 1 - off])
+        l += 1
+    return tuple(row)
 
 
 def _pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:

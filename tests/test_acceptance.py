@@ -19,7 +19,6 @@ from steadyparts.asymptotics import (
     f_saddle,
 )
 from steadyparts.bipartite import (
-    alpha_row,
     d_value,
     d_value_by_crank,
     enumerate_steady,
@@ -35,6 +34,7 @@ from steadyparts.crank import (
 )
 from steadyparts.formatting import ratio_string, sci_from_int
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
+from steadyparts.series import theta_row
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_criterion_2_table1_off_diagonal(g_big):
 def test_criterion_3_three_way_equivalence(p_big, c_big, g_big):
     g = gf_table(10, 10)
     steady = enumerate_steady(10, 10)
-    alpha = [alpha_row(s, 10, p_big) for s in range(11)]
+    alpha = [theta_row(p_big, s, 10) for s in range(11)]
     bad = 0
     for m in range(11):
         for n in range(11):
@@ -156,7 +156,7 @@ def test_criterion_3_three_way_equivalence(p_big, c_big, g_big):
 def test_criterion_4_difference_identity(p_big, c_big, g_big):
     crank = build_crank_table(40)
     # the cells have min(m, n) <= 40 and |m - n| <= 80
-    alpha = [alpha_row(s, 40, p_big) for s in range(81)]
+    alpha = [theta_row(p_big, s, 40) for s in range(81)]
     bad = 0
     cells = 0
     for n in range(41):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from steadyparts.bipartite import (
     PRODUCT_CAP,
-    alpha_row,
     d_value,
     d_value_by_crank,
     enumerate_steady,
@@ -17,7 +16,7 @@ from steadyparts.bipartite import (
 )
 from steadyparts.crank import build_crank_table, crank_column
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
-from steadyparts.series import theta_coefficient
+from steadyparts.series import theta_coefficient, theta_row
 
 
 @pytest.fixture(scope="module")
@@ -43,28 +42,28 @@ def crank60():
 @pytest.fixture(scope="module")
 def alpha200(p_table):
     """The rows alpha(s, 0..200) for s = 0..200."""
-    return tuple(alpha_row(s, 200, p_table) for s in range(201))
+    return tuple(theta_row(p_table, s, 200) for s in range(201))
 
 
 class TestAlpha:
     def test_k_zero(self, p_table):
         for s in range(10):
-            assert alpha_row(s, 0, p_table) == (1,)
+            assert theta_row(p_table, s, 0) == (1,)
 
     def test_small_values(self, p_table):
-        assert alpha_row(0, 1, p_table)[1] == 0  # p(1) - p(0)
-        assert alpha_row(1, 2, p_table)[2] == 1  # p(2) - p(0)
+        assert theta_row(p_table, 0, 1)[1] == 0  # p(1) - p(0)
+        assert theta_row(p_table, 1, 2)[2] == 1  # p(2) - p(0)
 
     def test_short_table_raises(self):
         with pytest.raises(IndexError):
-            alpha_row(0, 11, build_p_table(10))
+            theta_row(build_p_table(10), 0, 11)
 
     def test_row_matches_definition(self, p_table):
         # and the fast path's kernel, whose alpha(s, k) is K(k, s) over p
         # p(j < 0) = 0; a tuple's negative index would wrap round
         p = p_table
         for s in range(6):
-            row = alpha_row(s, 60, p_table)
+            row = theta_row(p_table, s, 60)
             for k in range(61):
                 offsets = (k - l * (l + 1) // 2 - l * s for l in range(k + 1))
                 want = sum((-1) ** l * p[j] for l, j in enumerate(offsets) if j >= 0)
@@ -74,7 +73,7 @@ class TestAlpha:
     def test_rows_give_pi_on_a_box(self, c_table, g_table, p_table, alpha200):
         # rows built to K = 40 cover the 40 x 40 box; rows built to 200 are
         # the same rows, longer
-        rows = tuple(alpha_row(s, 40, p_table) for s in range(41))
+        rows = tuple(theta_row(p_table, s, 40) for s in range(41))
         for s in range(41):
             assert alpha200[s][:41] == rows[s], s
         for m in range(41):
@@ -84,7 +83,7 @@ class TestAlpha:
                 assert pi_value_by_alpha(m, n, c_table, alpha200) == fast, (m, n)
 
     def test_short_rows_raise(self, c_table, p_table):
-        rows = tuple(alpha_row(s, 10, p_table) for s in range(11))
+        rows = tuple(theta_row(p_table, s, 10) for s in range(11))
         assert pi_value_by_alpha(10, 20, c_table, rows) == pi_value_by_alpha(20, 10, c_table, rows)
         with pytest.raises(IndexError):
             pi_value_by_alpha(10, 21, c_table, rows)  # no row s = 11
@@ -97,7 +96,7 @@ class TestOraclesKeepNoState:
         # a tuple cannot be weakly referenced: count its references instead
         p = build_p_table(30)
         held = sys.getrefcount(p), sys.getrefcount(c_table)
-        assert pi_value_by_alpha(12, 17, c_table, {5: alpha_row(5, 12, p)}) == pi_value(12, 17, g_table)
+        assert pi_value_by_alpha(12, 17, c_table, {5: theta_row(p, 5, 12)}) == pi_value(12, 17, g_table)
         assert (sys.getrefcount(p), sys.getrefcount(c_table)) == held
 
     def test_enumerate_steady_keeps_no_table(self):
@@ -274,7 +273,7 @@ class TestGPathAgainstOracles:
     @example(mu=2999, s=57, flip=True)
     def test_pi_matches_alpha_convolution(self, p3000, c3000, g3000, mu, s, flip):
         m, n = (mu + s, mu) if flip else (mu, mu + s)
-        assert pi_value(m, n, g3000) == pi_value_by_alpha(m, n, c3000, {s: alpha_row(s, mu, p3000)})
+        assert pi_value(m, n, g3000) == pi_value_by_alpha(m, n, c3000, {s: theta_row(p3000, s, mu)})
 
     @settings(max_examples=25, deadline=None)
     @given(M=st.integers(0, 14), N=st.integers(0, 14))

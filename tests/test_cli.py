@@ -419,9 +419,21 @@ class TestVerify:
         [
             pytest.param(
                 # M(+-3, 20) off by one in crank-row's closed form, which the
-                # crank table is built from
+                # table no longer reads: only the deep check that compares
+                # the table's cells with it fails
                 "crank_value_direct",
                 lambda real: lambda m, n, p: real(m, n, p) + ((abs(m), n) == (3, 20)),
+                ["verify", "--deep"],
+                ["FAIL  crank expansion paths agree (order 40)"],
+                id="closed-form-value",
+            ),
+            pytest.param(
+                # M(+-3, 20) off by one in the closed-form table itself
+                "build_crank_table",
+                lambda real: lambda N: tuple(
+                    tuple(v + ((abs(m), n) == (3, 20)) for n, v in enumerate(row))
+                    for m, row in zip([*range(N + 1), *range(-N, 0)], real(N))
+                ),
                 ["verify", "--deep"],
                 [
                     "FAIL  telescoping D identity (1681 cells, n <= 40)",
@@ -429,7 +441,7 @@ class TestVerify:
                     "FAIL  crank expansion paths agree (order 40)",
                     "FAIL  combinatorial crank counts (2 <= n <= 30)",
                 ],
-                id="closed-form-value",
+                id="closed-form-table",
             ),
             pytest.param(
                 # p(60) off by one in the p the crank table reads: the
@@ -847,13 +859,15 @@ class TestProcess:
             pytest.skip("no RLIMIT_AS on this platform")
         # the guard sizes no verify run, so the cap alone stops it.  An
         # uncapped run reports how far its address space grew past the size
-        # the entry point caps from; an eighth, a quarter and a half of that
-        # growth must each end at the cap with one abort line, never a
-        # traceback or a SystemError.  Not three quarters: the peak can hold
-        # a fresh 1 MiB object arena that is barely used, and a capped run
-        # falls back to malloc where that arena does not fit, so it needs as
-        # little as 0.6 of the peak.  No setrlimit here: the entry point caps
-        # its own address space
+        # the entry point caps from; a sixteenth, an eighth and a quarter of
+        # that growth must each end at the cap with one abort line and no
+        # stdout, never a traceback or a SystemError.  Not a half: the peak
+        # can hold a fresh 1 MiB object arena that is barely used, and a
+        # capped run falls back to malloc where that arena does not fit, so
+        # the first check to print, the three-way pi box, finishes under a
+        # cap of 0.5 to 0.8 of the growth (1.4 to 1.6 MiB of 2 or 3 MiB on
+        # x86-64 Linux, CPython 3.11).  No setrlimit here: the entry point
+        # caps its own address space
         probe = (
             "import sys\nfrom steadyparts.cli import cli\n"
             "def size(field):\n"
@@ -867,7 +881,7 @@ class TestProcess:
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=self.env(), check=True,
         )
         growth = int(uncapped.stdout.splitlines()[-1])
-        for budget in (growth // 8, growth // 4, growth // 2):
+        for budget in (growth // 16, growth // 8, growth // 4):
             proc = self.run_module("verify", "--deep", "--box", "60", env={"STEADYPARTS_MEM_LIMIT_BYTES": str(budget)})
             assert proc.returncode == 2, proc.stderr
             assert proc.stdout == b""

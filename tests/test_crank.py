@@ -71,6 +71,13 @@ class TestBuild:
         for n in range(201):
             assert sum(table[m][n] for m in range(-n, n + 1)) == p200[n], n
 
+    def test_order_200_table_matches_direct_values(self, p200):
+        # the table's theta rows (slice passes) against crank-row's per-cell
+        # closed form (theta_coefficient loops) at every cell, |m| > n too
+        table = build_crank_table(200)
+        for m in range(-200, 201):
+            assert list(table[m]) == [crank_value_direct(m, n, p200) for n in range(201)], m
+
     def test_column_formula_agrees(self, lambert100, p200):
         for m in range(-100, 101):
             assert crank_column(m, 100, p200) == lambert100[m]

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steadyparts.series import _divide_sparse, divide_by_euler, euler_product, invert, mul, theta_coefficient
+from steadyparts.series import (
+    _divide_sparse,
+    divide_by_euler,
+    euler_product,
+    invert,
+    mul,
+    theta_coefficient,
+    theta_row,
+)
 
 
 def expand_finite_product(factors, order):
@@ -197,3 +205,29 @@ class TestAlgebraicProperties:
                 parities.add(len(terms) % 2)
             assert theta_coefficient(p, k, s) == sum(terms), k
         assert parities == {0, 1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_theta_row_matches_theta_coefficient(self, seed):
+        # the slice passes against the loop, entry by entry: over p(0..2000)
+        # (up to 46 digits) and over mixed-sign ints, at seeded (s, K) with
+        # s up to 60, at K = 0, at s > K and at the full length
+        p = divide_by_euler([1] + [0] * 2000)
+        rng = random.Random(seed)
+        mixed = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(2001)]
+        cases = [(0, 0), (60, 0), (7, 3), (60, 59), (rng.randrange(61), 2000)]
+        cases += [(rng.randrange(61), rng.randrange(2001)) for _ in range(8)]
+        for values in (p, mixed):
+            for s, K in cases:
+                row = theta_row(values, s, K)
+                assert len(row) == K + 1
+                assert list(row) == [theta_coefficient(values, k, s) for k in range(K + 1)], (s, K)
+
+    def test_theta_row_edges(self):
+        # K < 0 is the empty row, as K(k < 0, s) = 0; a negative s or a
+        # table that ends before K raises
+        assert theta_row((1, 2, 3, 4), 4, -1) == ()
+        assert theta_row((1, 2, 3, 4), 0, 3) == (1, 2 - 1, 3 - 2, 4 - 3 + 1)
+        with pytest.raises(ValueError):
+            theta_row((1, 2, 3, 4), -1, 3)
+        with pytest.raises(IndexError):
+            theta_row((1, 2, 3, 4), 0, 4)
