@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 # steadyparts.cli stays out: `python -m steadyparts.cli` runs it as __main__
 __all__ = (
-    "asymptotics", "bipartite", "crank", "formatting", "oracles", "partitions", "reports", "series",
+    "asymptotics", "bipartite", "crank", "formatting", "oracles", "partitions", "reports", "series", "usage",
 )
 
 

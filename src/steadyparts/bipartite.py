@@ -12,13 +12,8 @@ when many cells share small orders:
 * ``d_value``   -- the first difference D(m, n) = pi(m, n) - pi(m-1, n),
                    two ``pi_value`` sums.
 
-Independent routes are kept as oracles, for the tests and ``verify`` only:
+Two box oracles are kept here, for the tests and ``verify`` only:
 
-* ``pi_value_by_alpha``     -- the c/alpha convolution, one sum against a
-                               row alpha(s, 0..K) the caller builds, which
-                               is ``series.theta_row(p, s, K)``;
-* ``d_value_by_crank``      -- D through the crank convolution c * M, one sum
-                               against a slice of one crank row;
 * ``gf_table``              -- direct box expansion of the Carlitz generating
                                function 1/((x;xy)(x^2y^2;x^2y^2)(y;xy));
 * ``enumerate_steady``      -- the numbers of part-pair sequences satisfying
@@ -26,11 +21,12 @@ Independent routes are kept as oracles, for the tests and ``verify`` only:
                                box, by the first pair and the rest, in layers
                                by the largest part allowed.
 
-The oracles slice the p and c tuples; none keeps a table alive between calls.
+The two convolution oracles, ``pi_value_by_alpha`` and ``d_value_by_crank``,
+are in ``steadyparts.oracles``, which no command but ``verify`` compiles.
 """
 
 from collections.abc import Sequence
-from operator import add, mul
+from operator import add
 
 from .series import theta_coefficient
 
@@ -54,46 +50,6 @@ def d_value(m: int, n: int, G: Sequence[int]) -> int:
     """D(m, n) = pi(m, n) - pi(m - 1, n) by its definition: two ``pi_value``
     sums over G, which must reach min(m, n).  It vanishes for m > 2n."""
     return pi_value(m, n, G) - (pi_value(m - 1, n, G) if m else 0)
-
-
-def pi_value_by_alpha(m: int, n: int, c: Sequence[int], alpha) -> int:
-    """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k),
-    where alpha(s, k) = sum_{l >= 0} (-1)^l p(k - l(l+1)/2 - l s) and
-    `alpha` is anything indexed alpha[s][k], such as rows of
-    ``series.theta_row`` over p."""
-    if m < 0 or n < 0:
-        raise ValueError("pi takes nonnegative arguments")
-    mu = min(m, n)
-    if len(c) <= mu:
-        raise IndexError("c table too short for pi_value_by_alpha")
-    row = alpha[abs(m - n)]
-    if len(row) <= mu:
-        raise IndexError("alpha row too short for pi_value_by_alpha")
-    return sum(map(mul, c[mu::-1], row))
-
-
-def d_value_by_crank(m: int, n: int, c: Sequence[int], M) -> int:
-    """Oracle for D(m, n) through the crank convolution:
-
-        D(m,n) = sum_{0 <= k <= L} c(L - k) M(n - L, n - L + k),
-        L = min(2n - m, m),
-
-    and D(m,n) = 0 outright when m > 2n.  `M` is anything indexed M[m][n]:
-    the rows of a full crank table, or {0: crank_column(0, N, p)} for
-    the diagonal cells, which read only row 0.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("d_value_by_crank takes nonnegative arguments")
-    if m > 2 * n:
-        return 0
-    L = min(2 * n - m, m)
-    if len(c) <= L:
-        raise IndexError("c table too short for d_value_by_crank")
-    base = n - L
-    row = M[base]
-    if len(row) <= n:
-        raise IndexError("crank table too short for d_value_by_crank")
-    return sum(map(mul, c[L::-1], row[base:n + 1]))
 
 
 def enumerate_steady(M: int, N: int) -> tuple:

@@ -2,10 +2,12 @@
 under a resource guard.  `steadyparts --help` lists the commands.
 
 Only asym's body is here.  table1, compute and crank-row are in
-steadyparts.reports, and verify is in steadyparts.oracles.  The package
-compiles those on first use (see steadyparts/__init__), so a process
-compiles only the command it runs; asym reads asymptotics and formatting
-through their modules for the same reason, and verify compiles neither.
+steadyparts.reports, verify is in steadyparts.oracles, and the text of
+--help and of a usage error is in steadyparts.usage.  The package compiles
+those on first use (see steadyparts/__init__), so a process compiles only
+the command it runs, and a command line that parses compiles no help text;
+asym reads asymptotics and formatting through their modules for the same
+reason, and verify compiles neither.
 
 A resource guard (default 8 GiB / 30 minutes, overridable through
 STEADYPARTS_TIME_LIMIT_S and STEADYPARTS_MEM_LIMIT_BYTES) aborts oversized
@@ -14,12 +16,15 @@ OverflowError from a size or an asymptotic past a float's range.
 """
 
 import os
-import signal
 import sys
 import threading
 import types
 
-from . import asymptotics, bipartite, formatting, oracles, reports
+# the C module that signal wraps: importing signal itself builds its IntEnum
+# classes, about 1 ms of every process
+from _signal import ITIMER_REAL, SIGALRM, setitimer, signal
+
+from . import asymptotics, bipartite, formatting, oracles, reports, usage
 
 DEFAULT_TIME_LIMIT_S = 30 * 60
 DEFAULT_MEM_LIMIT_BYTES = 8 * 1024 ** 3
@@ -56,14 +61,14 @@ class ResourceGuard:
             self._time_out()
         self._armed = threading.current_thread() is threading.main_thread()
         if self._armed:
-            self._previous = signal.signal(signal.SIGALRM, self._time_out)
-            signal.setitimer(signal.ITIMER_REAL, self.time_limit_s)
+            self._previous = signal(SIGALRM, self._time_out)
+            setitimer(ITIMER_REAL, self.time_limit_s)
         return self
 
     def __exit__(self, *exc_info):
         if self._armed:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, self._previous)
+            setitimer(ITIMER_REAL, 0)
+            signal(SIGALRM, self._previous)
 
     def require(self, nbytes: int):
         """Abort unless nbytes fit in the memory budget."""
@@ -175,53 +180,14 @@ COMMANDS = {
 }
 
 
-def _prog(command: str | None) -> str:
-    return "steadyparts" if command is None else f"steadyparts {command}"
-
-
 def _options(command: str | None) -> tuple:
     return GLOBAL_OPTIONS if command is None else COMMANDS[command][1]
 
 
-def _shown(command: str | None):
-    """(flag with its metavar, help, default) of each option --help shows."""
-    for flag, _, parse, default, doc in _options(command):
-        if doc is not None:
-            yield (flag if parse is None else f"{flag} {flag.lstrip('-').upper()}"), doc, default
-
-
-def _usage(command: str | None) -> str:
-    words = ["usage:", _prog(command), "[-h]"]
-    words += [arg if default is REQUIRED else f"[{arg}]" for arg, _, default in _shown(command)]
-    if command is None:
-        words.append("COMMAND ...")
-    return " ".join(words)
-
-
-def _help(command: str | None) -> str:
-    rows = [("-h, --help", "show this help message and exit")]
-    for arg, doc, default in _shown(command):
-        text = doc() if callable(doc) else doc
-        if default not in (REQUIRED, False):
-            text += f" (default: {default})"
-        rows.append((arg, text))
-    if command is None:
-        about = "Exact bipartite partition counts and their uniform asymptotics."
-        commands = [(name, find().__doc__) for name, (find, _) in COMMANDS.items()]
-    else:
-        about, commands = COMMANDS[command][0]().__doc__, []
-    width = max(len(left) for left, _ in rows + commands) + 2
-    lines = [_usage(command), "", about, "", "options:"]
-    lines += [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
-    if commands:
-        lines += ["", "commands:"] + [f"  {name:<{width}}{doc}" for name, doc in commands]
-    return "\n".join(lines)
-
-
 def _usage_error(command: str | None, message: str):
     """argparse's usage error: the usage line, then the message; exit 2."""
-    _stderr_line(_usage(command))
-    _stderr_line(f"{_prog(command)}: error: {message}")
+    _stderr_line(usage.line(command, _options(command), REQUIRED))
+    _stderr_line(f"{usage.prog(command)}: error: {message}")
     sys.exit(2)
 
 
@@ -238,7 +204,7 @@ def _parse(argv: list[str]):
     tokens = iter(argv)
     for token in tokens:
         if token in ("-h", "--help"):
-            print(_help(command), flush=True)
+            print(usage.help_text(command, _options(command), REQUIRED, COMMANDS), flush=True)
             sys.exit(0)
         flag, has_text, text = token.partition("=")
         option = next((o for o in _options(command) if o[0] == flag), None)

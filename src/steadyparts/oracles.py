@@ -1,18 +1,84 @@
-"""The verify command: the fast path checked against independent routes.
+"""Independent routes for the tests, and the verify command that checks
+the fast path against them.
 
-steadyparts.cli parses the command line and calls verify; this module is
-compiled only when it runs.  The package's modules are imported as modules
-and called through their attributes, as in steadyparts.reports, so that
+* ``pi_value_by_alpha``      -- pi through the c/alpha convolution, one sum
+                                against a row alpha(s, 0..K) the caller
+                                builds, which is ``series.theta_row(p, s, K)``;
+* ``d_value_by_crank``       -- D through the crank convolution c * M, one
+                                sum against a slice of one crank row;
+* ``g_values_via_chain``     -- G by the chain p -> c = p/(q^2;q^2) ->
+                                G = c/(q;q) of pentagonal divisions;
+* ``c_values_via_inversion`` -- c by dense inversion of (q;q)(q^2;q^2).
+
+The box oracles ``bipartite.gf_table`` and ``bipartite.enumerate_steady``
+and the crank oracles stay in their modules, where bench/layers.py times
+them.  The routes slice the p and c tuples; none keeps a table alive
+between calls.
+
+steadyparts.cli parses the command line and calls verify; no other command
+compiles this module.  The package's modules are imported as modules and
+called through their attributes, as in steadyparts.reports, so that
 bench/tracer.py's wrappers reach every call.
 """
 
-from operator import ne
+from collections.abc import Sequence
+from operator import mul, ne
 
 from . import bipartite, crank, partitions, series
 
 # the orders verify's telescoping and crank-marginal checks run to
 TELESCOPE_N = 40
 MARGINAL_N = 100
+
+
+def pi_value_by_alpha(m: int, n: int, c: Sequence[int], alpha) -> int:
+    """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k),
+    where alpha(s, k) = sum_{l >= 0} (-1)^l p(k - l(l+1)/2 - l s) and
+    `alpha` is anything indexed alpha[s][k], such as rows of
+    ``series.theta_row`` over p."""
+    if m < 0 or n < 0:
+        raise ValueError("pi takes nonnegative arguments")
+    mu = min(m, n)
+    if len(c) <= mu:
+        raise IndexError("c table too short for pi_value_by_alpha")
+    row = alpha[abs(m - n)]
+    if len(row) <= mu:
+        raise IndexError("alpha row too short for pi_value_by_alpha")
+    return sum(map(mul, c[mu::-1], row))
+
+
+def d_value_by_crank(m: int, n: int, c: Sequence[int], M) -> int:
+    """Oracle for D(m, n) through the crank convolution:
+
+        D(m,n) = sum_{0 <= k <= L} c(L - k) M(n - L, n - L + k),
+        L = min(2n - m, m),
+
+    and D(m,n) = 0 outright when m > 2n.  `M` is anything indexed M[m][n]:
+    the rows of a full crank table, or {0: crank_column(0, N, p)} for
+    the diagonal cells, which read only row 0.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("d_value_by_crank takes nonnegative arguments")
+    if m > 2 * n:
+        return 0
+    L = min(2 * n - m, m)
+    if len(c) <= L:
+        raise IndexError("c table too short for d_value_by_crank")
+    base = n - L
+    row = M[base]
+    if len(row) <= n:
+        raise IndexError("crank table too short for d_value_by_crank")
+    return sum(map(mul, c[L::-1], row[base:n + 1]))
+
+
+def g_values_via_chain(N: int) -> series.CoefficientTable:
+    """Independent path: G as the c table divided by (q;q)_inf once more."""
+    return series.CoefficientTable(series.divide_by_euler(list(partitions.build_c_table(N)), 1))
+
+
+def c_values_via_inversion(N: int) -> series.CoefficientTable:
+    """Independent path: invert the dense product (q;q)_inf (q^2;q^2)_inf."""
+    return series.invert(series.mul(series.euler_product(1, N), series.euler_product(2, N)))
 
 
 def _verify_checks(box: int, deep: bool, fault: bool):
@@ -26,7 +92,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     # every pi cell checked has min(m, n) and |m - n| at most K
     K = max(TELESCOPE_N, box)
     p = partitions.build_p_table(K)
-    c = partitions.c_values_via_inversion(K)
+    c = c_values_via_inversion(K)
     alpha = [series.theta_row(p, s, K) for s in range(K + 1)]
     # thousands of small cells read each coefficient many times: index a
     # tuple, not the reader
@@ -44,7 +110,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
         for n in range(box + 1)
         if not (
             bipartite.pi_value(m, n, G)
-            == bipartite.pi_value_by_alpha(m, n, c, alpha)
+            == pi_value_by_alpha(m, n, c, alpha)
             == g[m][n]
             == steady[m][n]
         )
@@ -60,8 +126,8 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     for n in range(TELESCOPE_N + 1):
         below = 0  # pi(m - 1, n) by the c/alpha convolution; pi(-1, n) = 0
         for m in range(2 * n + 1):
-            here = bipartite.pi_value_by_alpha(m, n, c, alpha)
-            if not bipartite.d_value(m, n, G) == bipartite.d_value_by_crank(m, n, c, crank_t) == here - below:
+            here = pi_value_by_alpha(m, n, c, alpha)
+            if not bipartite.d_value(m, n, G) == d_value_by_crank(m, n, c, crank_t) == here - below:
                 bad += 1
             below = here
     yield ("telescoping D identity", bad == 0, f"{(TELESCOPE_N + 1) ** 2} cells, n <= {TELESCOPE_N}")

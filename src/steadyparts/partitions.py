@@ -20,9 +20,18 @@ O(sqrt(mu)) coefficients of G, and the full table to mu is never formed.
 The three divisions share one sweep below order PACKED_ORDERS.  Entry n
 there is the int a1 | a2 << W1 | a3 << (W1 + W2) of the three quotients
 at order n, a1 = P(q^2)/phi(-q) = 1/(q;q)^2, a2 = a1/phi(-q) and a3 = E,
-so each square offset costs one addition of packed ints, the sums of
-each sign kept apart as in ``series._divide_sparse``, and each order
-unpacks the two sums and forms a1, a2 and a3 in turn.  No field carries:
+so each square offset costs one addition of packed ints, the sums up and
+down of each sign kept apart as in ``series._divide_sparse``.  Each order
+decodes its three quotients from one signed difference,
+y = num(n) - 2 (up - down) = a1 + (d2 + d3 2^W2) 2^W1, where num(n) is
+the numerator's coefficient and d2 = a2 - a1, d3 = a3 - a2 are the
+updates of the upper fields:
+
+    a1 = y mod 2^W1,  t = a1 + floor(y / 2^W1) = a2 + d3 2^W2,
+    a2 = t mod 2^W2,  a3 = a2 + floor(t / 2^W2).
+
+That is exact when 0 <= a1 < 2^W1 and 0 <= a2 < 2^W2; the sums up and
+down may carry from field to field.  The quotients fit:
 
 * all three quotients have nonnegative coefficients, since
   1/(q;q) and 1/phi(-q) = prod (1 + q^k)/(1 - q^k) do;
@@ -34,9 +43,8 @@ unpacks the two sums and forms a1, a2 and a3 in turn.  No field carries:
 * a2 = (q^2;q^2)/(q;q)^4 and 0 < (x^2;x^2)_inf <= 1, so
   a2(i) <= exp(it + 2 pi^2/(3t)) <= exp(pi sqrt(8i/3));
 * ``_packed_widths`` gives each field those bits at the largest order,
-  and bit_length(isqrt(length) + 1) + 1 more, as the sum of at most
-  isqrt(length) + 1 terms is less than 2^W.  a3 is the top field and
-  needs no width.
+  and bit_length(isqrt(length) + 1) + 1 to spare.  a3 is the top field
+  and needs no width.
 
 Past the prefix, three ``series.divide_by_phi`` passes resume at order
 PACKED_ORDERS, each over its own quotient's field split off the packed
@@ -45,12 +53,11 @@ Table 1) and keep the prefix near 2 MB at any N.  Packing every order
 is the same code up to N = 16383, but at N = 90000 (L = 300) it ran
 slower and peaked at 36 MB, against 20 MB.
 
-Independent routes are kept as oracles for the tests: the chain
-p -> c = p/(q^2;q^2) -> G = c/(q;q) of pentagonal divisions
-(``build_c_table``, ``g_values_via_chain``), and dense series inversion for
-c (``c_values_via_inversion``, which ``verify`` uses).  p is checked against
-Euler's identity (q;q)_inf * P(q) = 1 through ``series.mul``.  Every table
-but G's reader is a tuple, a ``series.CoefficientTable``.
+``build_c_table`` is not on any command's path: it feeds the oracles in
+``steadyparts.oracles``, the chain p -> c = p/(q^2;q^2) -> G = c/(q;q) of
+pentagonal divisions (``g_values_via_chain``), and the large-order checks
+of pi and D.  Every table but G's reader is a tuple, a
+``series.CoefficientTable``.
 """
 
 import math
@@ -58,7 +65,7 @@ import math
 # read through the module, so that a process that sizes no G table
 # (verify) never compiles asymptotics
 from . import asymptotics
-from .series import CoefficientTable, divide_by_euler, divide_by_phi, euler_product, invert, mul
+from .series import CoefficientTable, divide_by_euler, divide_by_phi
 
 # orders of E built by the packed sweep; the rest by three resumed divisions
 PACKED_ORDERS = 8192
@@ -123,8 +130,8 @@ def _packed_widths(length: int) -> tuple[int, int]:
     """Bits (W1, W2) of the fields that hold a1 = 1/(q;q)^2 and
     a2 = 1/((q;q)^2 phi(-q)) at orders below `length` in the packed sweep:
     the bounds a1(i) <= exp(pi sqrt(4i/3)) and a2(i) <= exp(pi sqrt(8i/3)) of
-    the module docstring, at i = length - 1, plus room for a sum of up to
-    isqrt(length) + 1 such terms and one bit for rounding."""
+    the module docstring, at i = length - 1, plus bit_length(isqrt(length)
+    + 1) + 1 bits to spare."""
     top = length - 1
     room = (math.isqrt(length) + 1).bit_length() + 1
     return tuple(math.ceil(math.pi * math.sqrt(c * top / 3) / math.log(2)) + room for c in (4, 8))
@@ -136,8 +143,10 @@ def _packed_sweep(half: list, length: int, w1: int, w2: int) -> None:
     a1 | a2 << w1 | a3 << (w1 + w2), the three quotients at order n.
 
     The update of ``series._divide_sparse`` over packed entries: up and down
-    sum every field at once, and no field carries (module docstring)."""
-    m1, m2, w12 = (1 << w1) - 1, (1 << w2) - 1, w1 + w2
+    sum every field at once, and one signed difference y of the two holds
+    every order's three updates; the decode is exact because a1 and a2 lie
+    in [0, 2^w1) and [0, 2^w2) (module docstring)."""
+    m1, m2 = (1 << w1) - 1, (1 << w2) - 1
     plus, minus = [], []
     root = 1
     for n in range(length):
@@ -150,10 +159,11 @@ def _packed_sweep(half: list, length: int, w1: int, w2: int) -> None:
         down = 0
         for h in minus:
             down += half[n - h]
-        a1 = half[n] - 2 * ((up & m1) - (down & m1))
-        a2 = a1 - 2 * ((up >> w1 & m2) - (down >> w1 & m2))
-        a3 = a2 - 2 * ((up >> w12) - (down >> w12))
-        half[n] = a1 | a2 << w1 | a3 << w12
+        y = half[n] - 2 * (up - down)
+        a1 = y & m1
+        t = a1 + (y >> w1)
+        a2 = t & m2
+        half[n] = a1 | (a2 | (a2 + (t >> w2)) << w2) << w1
 
 
 def build_g_table(N: int) -> HalfOrderG:
@@ -220,12 +230,3 @@ def g_build_bytes(N: int) -> int:
     w1, w2 = _packed_widths(head)
     return g_table_bytes(N) + math.ceil(head * (40 + (w1 + w2) / 7.5))
 
-
-def g_values_via_chain(N: int) -> CoefficientTable:
-    """Independent path: G as the c table divided by (q;q)_inf once more."""
-    return CoefficientTable(divide_by_euler(list(build_c_table(N)), 1))
-
-
-def c_values_via_inversion(N: int) -> CoefficientTable:
-    """Independent path: invert the dense product (q;q)_inf (q^2;q^2)_inf."""
-    return invert(mul(euler_product(1, N), euler_product(2, N)))

@@ -18,14 +18,7 @@ from steadyparts.asymptotics import (
     asym_pi,
     f_saddle,
 )
-from steadyparts.bipartite import (
-    d_value,
-    d_value_by_crank,
-    enumerate_steady,
-    gf_table,
-    pi_value,
-    pi_value_by_alpha,
-)
+from steadyparts.bipartite import d_value, enumerate_steady, gf_table, pi_value
 from steadyparts.crank import (
     build_crank_table,
     build_crank_table_lambert,
@@ -33,6 +26,7 @@ from steadyparts.crank import (
     crank_counts_by_enumeration,
 )
 from steadyparts.formatting import ratio_string, sci_from_int
+from steadyparts.oracles import d_value_by_crank, pi_value_by_alpha
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
 from steadyparts.series import theta_row
 

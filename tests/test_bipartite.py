@@ -5,16 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steadyparts.bipartite import (
-    PRODUCT_CAP,
-    d_value,
-    d_value_by_crank,
-    enumerate_steady,
-    gf_table,
-    pi_value,
-    pi_value_by_alpha,
-)
+from steadyparts.bipartite import PRODUCT_CAP, d_value, enumerate_steady, gf_table, pi_value
 from steadyparts.crank import build_crank_table, crank_column
+from steadyparts.oracles import d_value_by_crank, pi_value_by_alpha
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
 from steadyparts.series import theta_coefficient, theta_row
 
@@ -308,8 +301,7 @@ class TestGPathAgainstOracles:
     )
     def test_d_matches_crank_convolution_on_every_cell_shape(self, p3000, c3000, g3000, m, n):
         # D as two pi sums over G against the crank convolution over c and
-        # one crank column of p.  The routes share theta_coefficient, which
-        # the column reads through crank_value_direct (ROADMAP item 3)
+        # one crank column of p.  The routes share what TestTable1Order names
         b = n - min(m, 2 * n - m) if m <= 2 * n else 0
         column = {b: crank_column(b, n, p3000)}
         assert d_value(m, n, g3000) == d_value_by_crank(m, n, c3000, column)
@@ -317,3 +309,39 @@ class TestGPathAgainstOracles:
     def test_d_at_2500(self, p3000, c3000, g3000):
         column = {0: crank_column(0, 2500, p3000)}
         assert d_value(2500, 2500, g3000) == d_value_by_crank(2500, 2500, c3000, column)
+
+
+class TestTable1Order:
+    """pi and D at Table 1's own order, mu = 10^4 (L = 100), against the two
+    convolution oracles over c and p.  Neither oracle touches E, the packed
+    sweep, ``divide_by_phi`` or ``HalfOrderG``.  What the routes share:
+
+    * the pentagonal division, ``series.divide_by_euler``: it builds p,
+      which feeds E on the fast path and c and the theta rows on the
+      oracles' side;
+    * the partial theta series sum_l (-1)^l q^(l(l+1)/2 + l s), which the
+      fast path sums over G by ``series.theta_coefficient``, and the oracles
+      over p by ``series.theta_row``'s slice passes (the alpha row, and the
+      two rows of a crank column), which share no code with its loop.
+    """
+
+    MU = 10 ** 4
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        # D at (mu + 200, mu + 100) reads G to mu + 100 and one crank row to
+        # n = mu + 100; its convolution reads c to min(2n - m, m) = mu
+        p = build_p_table(self.MU + 100)
+        return p, build_c_table(self.MU), build_g_table(self.MU + 100)
+
+    @pytest.mark.parametrize("s", [0, 100, 1600])  # 0, sqrt(mu) and 16 sqrt(mu)
+    def test_pi_matches_alpha_convolution(self, tables, s):
+        p, c, G = tables
+        mu = self.MU
+        assert pi_value(mu, mu + s, G) == pi_value_by_alpha(mu, mu + s, c, {s: theta_row(p, s, mu)})
+
+    @pytest.mark.parametrize("m, n", [(10 ** 4, 10 ** 4), (10 ** 4 + 200, 10 ** 4 + 100)])
+    def test_d_matches_crank_convolution(self, tables, m, n):
+        p, c, G = tables
+        base = n - min(2 * n - m, m)
+        assert d_value(m, n, G) == d_value_by_crank(m, n, c, {base: crank_column(base, n, p)})

@@ -809,10 +809,10 @@ class TestProcess:
     @pytest.mark.parametrize(
         "args, unused",
         [
-            (["asym", "--m", "100", "--n", "100"], ["bipartite", "crank", "partitions", "series", "reports", "oracles"]),
-            (["compute", "--m", "100", "--n", "100"], ["crank", "oracles"]),
-            (["table1", "--L", "10"], ["crank", "oracles"]),
-            (["verify", "--box", "3"], ["asymptotics", "formatting", "reports"]),
+            (["asym", "--m", "100", "--n", "100"], ["bipartite", "crank", "partitions", "series", "reports", "oracles", "usage"]),
+            (["compute", "--m", "100", "--n", "100"], ["crank", "oracles", "usage"]),
+            (["table1", "--L", "10"], ["crank", "oracles", "usage"]),
+            (["verify", "--box", "3"], ["asymptotics", "formatting", "reports", "usage"]),
         ],
     )
     def test_runs_only_the_modules_a_command_calls(self, args, unused):
@@ -827,6 +827,17 @@ class TestProcess:
             [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60, env=self.env(), check=True,
         ).stdout
         assert out.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("args", [["asym", "--help"], ["compute", "--m", "x", "--n", "1"]])
+    def test_help_and_usage_errors_load_the_usage_module(self, args):
+        probe = (
+            f"import sys\nfrom steadyparts.cli import cli\ntry:\n    cli({args!r})\nexcept SystemExit:\n    pass\n"
+            "print('__builtins__' in object.__getattribute__(sys.modules['steadyparts.usage'], '__dict__'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60, env=self.env(), check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "True"
 
     def test_out_of_memory_exits_2_with_one_line(self):
         resource = pytest.importorskip("resource")

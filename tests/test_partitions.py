@@ -3,14 +3,8 @@ import math
 import pytest
 
 from steadyparts import partitions
-from steadyparts.partitions import (
-    PACKED_ORDERS,
-    build_c_table,
-    build_g_table,
-    build_p_table,
-    c_values_via_inversion,
-    g_values_via_chain,
-)
+from steadyparts.oracles import c_values_via_inversion, g_values_via_chain
+from steadyparts.partitions import PACKED_ORDERS, build_c_table, build_g_table, build_p_table
 from steadyparts.crank import (
     build_crank_table,
     build_crank_table_lambert,
@@ -148,11 +142,20 @@ class TestGTable:
         for N in range(2 * T - 2, 2 * T + 4):
             assert tuple(build_g_table(N)) == chain[: N + 1], N
 
-    def test_a_field_too_narrow_changes_g(self, monkeypatch):
-        # negative control for the widths: with W1 halved, the sums of a1
-        # carry into a2's field, and G at 10100 is no longer the chain's
+    @pytest.mark.parametrize("field", [0, 1], ids=["W1", "W2"])
+    def test_a_field_too_narrow_changes_g(self, monkeypatch, field):
+        # negative control for the widths: with W1 or W2 halved, a1 or a2
+        # no longer fits its field, so the decode reads it mod 2^W (the sums
+        # may carry from field to field, which the decode allows), and G at
+        # 10100 is no longer the chain's
         widths = partitions._packed_widths
-        monkeypatch.setattr(partitions, "_packed_widths", lambda length: (widths(length)[0] // 2, widths(length)[1]))
+
+        def narrow(length):
+            w = list(widths(length))
+            w[field] //= 2
+            return tuple(w)
+
+        monkeypatch.setattr(partitions, "_packed_widths", narrow)
         assert tuple(build_g_table(10100)) != g_values_via_chain(10100)
 
     @pytest.mark.parametrize("N", [2999, 3000])
