@@ -10,7 +10,7 @@ returns that layout, or one row or value of it, and the tests compare them:
 
 * ``build_crank_table``            -- the closed form's rows, each the
                                       shifted difference of two
-                                      ``series.theta_row`` rows over p;
+                                      ``oracles.theta_row`` rows over p;
                                       ``crank_column`` is one of them;
 * ``crank_value_direct``           -- one M(m, n) in closed form, a
                                       difference of two
@@ -30,11 +30,13 @@ M(+-1,1) = 1, which differ from the combinatorial counts, M(-1,1) = 1 and
 convolution identity exact.
 """
 
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from operator import neg, sub
+from operator import sub
 
-from .series import divide_by_euler, euler_product, invert, mul, theta_coefficient, theta_row
+# oracles is read through the module, so that crank-row, which reads only
+# crank_value_direct, never compiles it
+from . import oracles
+from .series import divide_by_euler, invert, theta_coefficient
 
 
 def build_crank_table(N: int) -> tuple:
@@ -44,7 +46,7 @@ def build_crank_table(N: int) -> tuple:
     if N < 0:
         raise ValueError("N must be nonnegative")
     p = divide_by_euler([1] + [0] * N)
-    T = [theta_row(p, s, N - s) for s in range(N + 2)]
+    T = [oracles.theta_row(p, s, N - s) for s in range(N + 2)]
     rows = [_crank_row(m, T[m], T[m + 1]) for m in range(N + 1)]
     return tuple(rows + rows[:0:-1])
 
@@ -84,8 +86,8 @@ def build_crank_table_lambert(N: int) -> tuple:
     for m in range(N, -N, -1):
         grid[m][:] = map(sub, grid[m], grid[m - 1])
     grid[0][0] += 1
-    p_series = invert(euler_product(1, N))
-    return tuple(mul(row, p_series) for row in grid)
+    p_series = invert(oracles.euler_product(1, N))
+    return tuple(oracles.mul(row, p_series) for row in grid)
 
 
 def crank_column(m: int, N: int, p_table: Sequence[int]) -> tuple:
@@ -97,7 +99,7 @@ def crank_column(m: int, N: int, p_table: Sequence[int]) -> tuple:
     m = abs(m)
     if m > N:
         return (0,) * (N + 1)
-    return _crank_row(m, theta_row(p_table, m, N - m), theta_row(p_table, m + 1, N - m - 1))
+    return _crank_row(m, oracles.theta_row(p_table, m, N - m), oracles.theta_row(p_table, m + 1, N - m - 1))
 
 
 def crank_value_direct(m: int, n: int, p_table: Sequence[int]) -> int:
@@ -158,27 +160,6 @@ def _zs1(n: int) -> Iterator[tuple]:
                     h += 1
                     parts[h] = freed
         yield parts, h, size
-
-
-def partitions_of(n: int) -> Iterator[tuple]:
-    """All partitions of n as non-increasing tuples of positive parts, in
-    decreasing lexicographic order (ZS1, see ``_zs1``)."""
-    for parts, _, size in _zs1(n):
-        yield tuple(parts[:size])
-
-
-def crank_of(partition: Sequence[int]) -> int:
-    """Crank statistic: largest part if there are no ones, else mu - omega
-    with omega = number of ones and mu = number of parts exceeding omega.
-
-    `partition` is non-increasing, so the parts exceeding omega are a prefix
-    and mu is found by bisection."""
-    if not partition:
-        return 0
-    ones = partition.count(1)
-    if ones == 0:
-        return partition[0]
-    return bisect_left(partition, -ones, key=neg) - ones
 
 
 def crank_counts_by_enumeration(N: int) -> tuple:

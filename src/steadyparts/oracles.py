@@ -3,12 +3,19 @@ the fast path against them.
 
 * ``pi_value_by_alpha``      -- pi through the c/alpha convolution, one sum
                                 against a row alpha(s, 0..K) the caller
-                                builds, which is ``series.theta_row(p, s, K)``;
+                                builds, which is ``theta_row(p, s, K)``;
 * ``d_value_by_crank``       -- D through the crank convolution c * M, one
                                 sum against a slice of one crank row;
 * ``g_values_via_chain``     -- G by the chain p -> c = p/(q^2;q^2) ->
                                 G = c/(q;q) of pentagonal divisions;
-* ``c_values_via_inversion`` -- c by dense inversion of (q;q)(q^2;q^2).
+* ``c_values_via_inversion`` -- c by dense inversion of (q;q)(q^2;q^2);
+* ``euler_product``, ``mul``   -- the pentagonal expansion of (q^s;q^s)_inf
+                                and the schoolbook product, which it,
+                                verify and crank's Lambert table read
+                                beside ``series.invert``;
+* ``theta_row``              -- every order of ``series.theta_coefficient``'s
+                                sum at once: the alpha rows, and the rows
+                                of crank's closed-form table.
 
 The box oracles ``bipartite.gf_table`` and ``bipartite.enumerate_steady``
 and the crank oracles stay in their modules, where bench/layers.py times
@@ -16,13 +23,14 @@ them.  The routes slice the p and c tuples; none keeps a table alive
 between calls.
 
 steadyparts.cli parses the command line and calls verify; no other command
-compiles this module.  The package's modules are imported as modules and
-called through their attributes, as in steadyparts.reports, so that
-bench/tracer.py's wrappers reach every call.
+compiles this module, crank-row included, though crank reads it.  The
+package's modules are imported as modules and called through their
+attributes, as in steadyparts.reports, so that bench/tracer.py's wrappers
+reach every call.
 """
 
 from collections.abc import Sequence
-from operator import mul, ne
+from operator import add, mul as times, ne, sub
 
 from . import bipartite, crank, partitions, series
 
@@ -35,7 +43,7 @@ def pi_value_by_alpha(m: int, n: int, c: Sequence[int], alpha) -> int:
     """Oracle for pi(m, n): sum_{0 <= k <= min(m,n)} c(min(m,n) - k) alpha(|m-n|, k),
     where alpha(s, k) = sum_{l >= 0} (-1)^l p(k - l(l+1)/2 - l s) and
     `alpha` is anything indexed alpha[s][k], such as rows of
-    ``series.theta_row`` over p."""
+    ``theta_row`` over p."""
     if m < 0 or n < 0:
         raise ValueError("pi takes nonnegative arguments")
     mu = min(m, n)
@@ -44,7 +52,7 @@ def pi_value_by_alpha(m: int, n: int, c: Sequence[int], alpha) -> int:
     row = alpha[abs(m - n)]
     if len(row) <= mu:
         raise IndexError("alpha row too short for pi_value_by_alpha")
-    return sum(map(mul, c[mu::-1], row))
+    return sum(map(times, c[mu::-1], row))
 
 
 def d_value_by_crank(m: int, n: int, c: Sequence[int], M) -> int:
@@ -68,7 +76,7 @@ def d_value_by_crank(m: int, n: int, c: Sequence[int], M) -> int:
     row = M[base]
     if len(row) <= n:
         raise IndexError("crank table too short for d_value_by_crank")
-    return sum(map(mul, c[L::-1], row[base:n + 1]))
+    return sum(map(times, c[L::-1], row[base:n + 1]))
 
 
 def g_values_via_chain(N: int) -> series.CoefficientTable:
@@ -78,7 +86,63 @@ def g_values_via_chain(N: int) -> series.CoefficientTable:
 
 def c_values_via_inversion(N: int) -> series.CoefficientTable:
     """Independent path: invert the dense product (q;q)_inf (q^2;q^2)_inf."""
-    return series.invert(series.mul(series.euler_product(1, N), series.euler_product(2, N)))
+    return series.invert(mul(euler_product(1, N), euler_product(2, N)))
+
+
+def mul(a: Sequence[int], b: Sequence[int]) -> series.CoefficientTable:
+    """Schoolbook product truncated at the order of the shorter factor.
+
+    Zero coefficients of `a` are skipped; the series fed through here are
+    frequently sparse (pentagonal-number supports).
+    """
+    n = min(len(a), len(b))
+    # slices are plain tuples, which index faster than a tuple subclass
+    bc = b[:n]
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j in range(n - i):
+                bj = bc[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return series.CoefficientTable(out)
+
+
+def euler_product(exponent_step: int, order: int) -> series.CoefficientTable:
+    """(q^s; q^s)_infinity truncated at `order`, via the pentagonal theorem.
+
+    The coefficients are 0 or +-1, supported on s times the generalized
+    pentagonal numbers k(3k-1)/2 and k(3k+1)/2, with sign (-1)^k.
+    """
+    if exponent_step < 1:
+        raise ValueError("exponent step must be a positive integer")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    out = [1] + [0] * order
+    for g, sign in series.pentagonal_offsets(order, exponent_step):
+        out[g] = sign
+    return series.CoefficientTable(out)
+
+
+def theta_row(values, s: int, K: int) -> tuple:
+    """The row K(0..K, s) of ``series.theta_coefficient`` over `values`,
+    empty for K < 0.
+
+    Term l of every entry at once is `values` shifted right by
+    l(l+1)/2 + l s, so the row starts as values[0..K] and each shift that
+    stays below K adds or subtracts one slice of `values`: O(sqrt(K)) slice
+    passes, and no code shared with ``series.theta_coefficient``'s loop.
+    """
+    if s < 0:
+        raise ValueError("theta_row takes a nonnegative s")
+    if len(values) <= K:
+        raise IndexError("values too short for theta_row")
+    row = list(values[:K + 1])
+    l = 1
+    while (off := l * (l + 1) // 2 + l * s) <= K:
+        row[off:] = map(sub if l % 2 else add, row[off:], values[:K + 1 - off])
+        l += 1
+    return tuple(row)
 
 
 def _verify_checks(box: int, deep: bool, fault: bool):
@@ -93,7 +157,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
     K = max(TELESCOPE_N, box)
     p = partitions.build_p_table(K)
     c = c_values_via_inversion(K)
-    alpha = [series.theta_row(p, s, K) for s in range(K + 1)]
+    alpha = [theta_row(p, s, K) for s in range(K + 1)]
     # thousands of small cells read each coefficient many times: index a
     # tuple, not the reader
     G = tuple(partitions.build_g_table(K))
@@ -134,7 +198,7 @@ def _verify_checks(box: int, deep: bool, fault: bool):
 
     # column n is zero for |m| > n, so each column sums to its marginal;
     # closed-form columns sum to any p they read, so take p by dense inversion
-    p_dense = series.invert(series.euler_product(1, MARGINAL_N))
+    p_dense = series.invert(euler_product(1, MARGINAL_N))
     bad = sum(map(ne, map(sum, zip(*crank_big)), p_dense))
     yield ("crank marginals equal p(n)", bad == 0, f"n <= {MARGINAL_N}")
 

@@ -5,7 +5,24 @@
 * ``G(n)`` -- 1/((q;q)_inf^2 (q^2;q^2)_inf) = (c * p)(n), the one series every
   pi and D cell is a short alternating sum over (see ``bipartite``).
 
-p comes from Euler's sparse pentagonal recurrence (``series.divide_by_euler``).
+p comes from Euler's pentagonal recurrence, p(n) = [n = 0] - sum_g s(g)
+p(n - g) over the generalized pentagonal numbers g, s(g) = +-1 the
+coefficient of q^g in (q;q)_inf.  Below P_ORDERS = PACKED_ORDERS // 2, the
+orders of p that the packed sweep of E reads, it runs in blocks of
+P_BLOCK = 8 orders over windows, the packed ints
+p(j) | p(j+1) << W | ... | p(j+7) << 7W, so that each offset g >= 8 costs a
+block at b one addition of window b - g, the sums of each sign kept apart.
+Their difference, down (s = -1) less up (s = +1), is y = sum_i f_i 2^(iW)
+whatever the sums carry, f_i the share of p(b + i) from these offsets
+(and from the numerator, 1 at order 0).  Each order n = b + i adds its
+offsets below 8 and decodes as the sweep below does:
+
+    t = y + p(n-1) + p(n-2) - p(n-5) - p(n-7) = p(n) + 2^W sum_{k>i} f_k 2^((k-i-1)W),
+    p(n) = t mod 2^W,  y = floor(t / 2^W),
+
+which is exact when 0 <= p(n) < 2^W.  Past P_ORDERS,
+``series.divide_by_euler`` resumes one order at a time.
+
 G is read, not built.  Jacobi's phi(q) phi(-q) = phi(-q^2)^2 and Gauss's
 phi(-q) = (q;q)^2/(q^2;q^2) give G(q) = E(q^2) phi(q), with
 
@@ -38,20 +55,22 @@ down may carry from field to field.  The quotients fit:
 * for x = e^(-t), log 1/(x;x)_inf = sum_k x^k / (k (1 - x^k)) <=
   sum_k 1/(k^2 t) = pi^2/(6t), because x^k/(1 - x^k) <= 1/(kt);
 * so Cauchy's bound, a(i) <= x^(-i) f(x) for a series f of nonnegative
-  coefficients, gives a1(i) <= exp(it + pi^2/(3t)), and at
-  t = pi/sqrt(3i), a1(i) <= exp(pi sqrt(4i/3));
+  coefficients, gives p(i) <= exp(it + pi^2/(6t)) and
+  a1(i) <= exp(it + pi^2/(3t)), and at t = pi/sqrt(6i) and t = pi/sqrt(3i),
+  p(i) <= exp(pi sqrt(2i/3)) and a1(i) <= exp(pi sqrt(4i/3));
 * a2 = (q^2;q^2)/(q;q)^4 and 0 < (x^2;x^2)_inf <= 1, so
   a2(i) <= exp(it + 2 pi^2/(3t)) <= exp(pi sqrt(8i/3));
-* ``_packed_widths`` gives each field those bits at the largest order,
-  and bit_length(isqrt(length) + 1) + 1 to spare.  a3 is the top field
-  and needs no width.
+* ``_bits`` gives p's fields and a1's and a2's those bits at the largest
+  order, and one to spare for the float's rounding of the ceiling and for
+  order 0, where the bound is 1.  a3 is the top field and needs no width.
 
 Past the prefix, three ``series.divide_by_phi`` passes resume at order
 PACKED_ORDERS, each over its own quotient's field split off the packed
 prefix.  8192 orders cover every G to N <= 16383 (every L <= 127 of
 Table 1) and keep the prefix near 2 MB at any N.  Packing every order
 is the same code up to N = 16383, but at N = 90000 (L = 300) it ran
-slower and peaked at 36 MB, against 20 MB.
+slower and peaked at 36 MB, against 20 MB.  p's windows hold up to five
+times its table; P_ORDERS caps them near 1.1 MB at any N.
 
 ``build_c_table`` is not on any command's path: it feeds the oracles in
 ``steadyparts.oracles``, the chain p -> c = p/(q^2;q^2) -> G = c/(q;q) of
@@ -65,17 +84,69 @@ import math
 # read through the module, so that a process that sizes no G table
 # (verify) never compiles asymptotics
 from . import asymptotics
-from .series import CoefficientTable, divide_by_euler, divide_by_phi
+from .series import CoefficientTable, divide_by_euler, divide_by_phi, pentagonal_offsets
 
 # orders of E built by the packed sweep; the rest by three resumed divisions
 PACKED_ORDERS = 8192
+# orders of p built in blocks of P_BLOCK, the p that the packed sweep reads;
+# _blocked_p takes the pentagonal offsets below P_BLOCK, 1, 2, 5 and 7, one
+# order at a time
+P_ORDERS = PACKED_ORDERS // 2
+P_BLOCK = 8
+
+
+def _bits(c: int, top: int) -> int:
+    """Bits that hold exp(pi sqrt(c top / 3)), the module docstring's bound
+    on p (c = 2), a1 (c = 4) and a2 (c = 8) at order top, and one to spare:
+    it covers the float's rounding of the ceiling, and top = 0, where the
+    bound is 1."""
+    return math.ceil(math.pi * math.sqrt(c * top / 3) / math.log(2)) + 1
+
+
+def _blocked_p(length: int, w: int) -> list:
+    """p(0..length-1) in blocks of P_BLOCK orders over windows of fields of
+    w bits (module docstring), exact when every p(n) < 2^w."""
+    mask = (1 << w) - 1
+    high = (P_BLOCK - 1) * w
+    # the offsets from P_BLOCK on, last first
+    pending = pentagonal_offsets(length - 1)[:3:-1]
+    plus, minus = [], []
+    # p(n) is p[n + 7], after p(-7..-1) = 0, and windows[n + 7 - g] is the
+    # window from order n - g, complete once order n + 7 - g is
+    p = [0] * 7
+    windows = []
+    window = 0
+    y = 1  # the numerator: 1 at order 0.  A block's decode leaves y at 0
+    for b in range(7, length + 7, P_BLOCK):
+        while pending and pending[-1][0] <= b:
+            g, sign = pending.pop()
+            (plus if sign > 0 else minus).append(g)
+        up = 0
+        for g in plus:
+            up += windows[b - g]
+        down = 0
+        for g in minus:
+            down += windows[b - g]
+        y += down - up
+        # the last block may run past length: orders no later block reads
+        for n in range(b, b + P_BLOCK):
+            t = y + p[n - 1] + p[n - 2] - p[n - 5] - p[n - 7]
+            v = t & mask
+            y = t >> w
+            p.append(v)
+            window = window >> w | v << high
+            windows.append(window)
+    return p[7:length + 7]
 
 
 def build_p_table(N: int) -> CoefficientTable:
-    """Partition numbers up to N by Euler's pentagonal recurrence."""
+    """Partition numbers up to N by Euler's pentagonal recurrence: the first
+    P_ORDERS orders in blocks, the rest by the resumed sparse division."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    return CoefficientTable(divide_by_euler([1] + [0] * N))
+    head = min(N + 1, P_ORDERS)
+    p = _blocked_p(head, _bits(2, head - 1)) + [0] * (N + 1 - head)
+    return CoefficientTable(divide_by_euler(p, start=head))
 
 
 def build_c_table(N: int) -> CoefficientTable:
@@ -128,13 +199,8 @@ class HalfOrderG:
 
 def _packed_widths(length: int) -> tuple[int, int]:
     """Bits (W1, W2) of the fields that hold a1 = 1/(q;q)^2 and
-    a2 = 1/((q;q)^2 phi(-q)) at orders below `length` in the packed sweep:
-    the bounds a1(i) <= exp(pi sqrt(4i/3)) and a2(i) <= exp(pi sqrt(8i/3)) of
-    the module docstring, at i = length - 1, plus bit_length(isqrt(length)
-    + 1) + 1 bits to spare."""
-    top = length - 1
-    room = (math.isqrt(length) + 1).bit_length() + 1
-    return tuple(math.ceil(math.pi * math.sqrt(c * top / 3) / math.log(2)) + room for c in (4, 8))
+    a2 = 1/((q;q)^2 phi(-q)) at orders below `length` in the packed sweep."""
+    return _bits(4, length - 1), _bits(8, length - 1)
 
 
 def _packed_sweep(half: list, length: int, w1: int, w2: int) -> None:
@@ -213,6 +279,18 @@ def _table_bytes(N: int, growth: float) -> int:
 def p_table_bytes(N: int) -> int:
     """Bytes ``build_p_table(N)`` holds, from above: log p(n) ~ pi sqrt(2n/3)."""
     return _table_bytes(N, math.pi * math.sqrt(2 / 3))
+
+
+def p_build_bytes(N: int) -> int:
+    """Bytes ``build_p_table(N)`` needs at its peak, from above, the larger
+    of two stages: the blocked prefix, its table and for each order a window
+    of P_BLOCK fields (an int header, 30-bit digits and a list slot); and
+    the whole table, copied into its tuple through a plain tuple (8 bytes a
+    slot), each int with the spare digit that CPython's subtraction may
+    leave (4 bytes)."""
+    head = min(N + 1, P_ORDERS)
+    windows = head * (36 + 4 * math.ceil(P_BLOCK * _bits(2, head - 1) / 30))
+    return max(p_table_bytes(head - 1) + windows, p_table_bytes(N) + 12 * (N + 1))
 
 
 def g_table_bytes(N: int) -> int:

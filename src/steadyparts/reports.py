@@ -111,11 +111,11 @@ def crank_row(args, guard):
     n = args.n
     template = ROW_FORMATS[args.fmt]
     _, row, sep, _ = template
-    # it holds the p table and one batch of lines: each a string (a 49-byte
-    # header), a list slot and its characters twice more, in the join and its
-    # encoding.  A value is -p(n) <= M(m, n) <= p(n) < e^(pi sqrt(2n/3))
+    # it needs the p table's build, then one batch of lines: each a string
+    # (a 49-byte header), a list slot and its characters twice more, in the
+    # join and its encoding.  A value is -p(n) <= M(m, n) <= p(n) < e^(pi sqrt(2n/3))
     longest = len(row.format(m=-n, n=n, v="")) + len(sep) + 2 + math.pi * math.sqrt(2 * n / 3) / math.log(10)
-    guard.require(partitions.p_table_bytes(n) + math.ceil(BATCH * (57 + 3 * longest)))
+    guard.require(partitions.p_build_bytes(n) + math.ceil(BATCH * (57 + 3 * longest)))
     p = partitions.build_p_table(n)
     rows = (row.format(m=m, n=n, v=crank.crank_value_direct(m, n, p)) for m in range(-n, n + 1))
     write_rows(template, rows)

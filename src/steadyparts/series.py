@@ -6,24 +6,24 @@ coefficients, a ``CoefficientTable``; readers take any sequence indexed from
 reads through a table of half its order.  ``theta_coefficient`` is the fast
 path's one short sum per cell: a coefficient of a table times the partial
 theta series sum_l (-1)^l q^(l(l+1)/2 + l s), which gives pi and D over G
-and the crank counts M over the p table.  ``theta_row`` is the same sum for
-every order up to K at once, from slice passes: the crank table's rows and
-the c/alpha oracle's alpha rows, both over p.
+and the crank counts M over the p table; ``oracles.theta_row`` is the same
+sum for every order up to K at once.
 
 Two classical series have a sparse support: Euler's pentagonal number
 theorem puts the terms of (q^s;q^s)_inf at s times the generalized
-pentagonal numbers (enumerated once, by ``_pentagonal_offsets``), and
+pentagonal numbers (enumerated once, by ``pentagonal_offsets``), and
 Gauss's identity phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf = sum_k (-1)^k q^(k^2)
-puts those of phi(-q) at the squares.  They feed two routes:
+puts those of phi(-q) at the squares.  ``divide_by_euler`` and
+``divide_by_phi`` divide by (q^s;q^s)_inf and by phi(-q), in place, both
+through one loop over (offset, sign) pairs, sign +-1, and one scale, 2 for
+phi(-q); ``partitions`` builds its tables with them, past p's blocked
+prefix and E's packed one.
 
-* ``divide_by_euler`` and ``divide_by_phi`` -- sparse division by
-  (q^s;q^s)_inf and by phi(-q), in place, both through one loop over
-  (offset, sign) pairs, sign +-1, and one scale, 2 for phi(-q);
-  ``partitions`` builds its tables with them;
-* ``euler_product``, ``mul``, ``invert`` -- the pentagonal expansion of
-  (q^s;q^s)_inf, the schoolbook product and the triangular inverse: the dense
-  oracles the sparse tables are checked against, and the Lambert route in
-  ``crank`` takes its 1/(q;q)_inf factor from them.
+``invert``, the triangular inverse, is a dense oracle, here because
+bench/layers.py times it under this module's name.  The other dense
+oracles, the pentagonal expansion ``euler_product`` and the schoolbook
+product ``mul``, are in ``steadyparts.oracles``, which no table command
+compiles.
 
 Every coefficient is a plain Python int; no floats enter this module.
 Tables are immutable and safe to share across threads.
@@ -31,7 +31,6 @@ Tables are immutable and safe to share across threads.
 
 import math
 from collections.abc import Sequence
-from operator import add, sub
 
 
 class CoefficientTable(tuple):
@@ -77,41 +76,16 @@ def theta_coefficient(values, k: int, s: int) -> int:
     return plus - minus
 
 
-def theta_row(values, s: int, K: int) -> tuple:
-    """The row K(0..K, s) of ``theta_coefficient`` over `values`, empty for
-    K < 0.
-
-    Term l of every entry at once is `values` shifted right by
-    l(l+1)/2 + l s, so the row starts as values[0..K] and each shift that
-    stays below K adds or subtracts one slice of `values`: O(sqrt(K)) slice
-    passes, and no code shared with ``theta_coefficient``'s loop.
-    """
-    if s < 0:
-        raise ValueError("theta_row takes a nonnegative s")
-    if len(values) <= K:
-        raise IndexError("values too short for theta_row")
-    row = list(values[:K + 1])
-    l = 1
-    while (off := l * (l + 1) // 2 + l * s) <= K:
-        row[off:] = map(sub if l % 2 else add, row[off:], values[:K + 1 - off])
-        l += 1
-    return tuple(row)
-
-
-def _pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:
+def pentagonal_offsets(limit: int, step: int = 1) -> list[tuple[int, int]]:
     """(offset, coefficient) pairs of (q^step; q^step)_inf up to `limit`,
     ascending: step times the generalized pentagonal numbers k(3k-1)/2 and
-    k(3k+1)/2, each with coefficient (-1)^k."""
+    k(3k+1)/2 = k(3k-1)/2 + k, each with coefficient (-1)^k."""
     offsets = []
     k = 1
-    while step * k * (3 * k - 1) // 2 <= limit:
-        sign = 1 if k % 2 == 0 else -1
-        offsets.append((step * k * (3 * k - 1) // 2, sign))
-        g2 = step * k * (3 * k + 1) // 2
-        if g2 <= limit:
-            offsets.append((g2, sign))
+    while (g := step * k * (3 * k - 1) // 2) <= limit:
+        offsets += (g, (-1) ** k), (g + step * k, (-1) ** k)
         k += 1
-    return offsets
+    return [pair for pair in offsets if pair[0] <= limit]
 
 
 def _square_offsets(limit: int) -> list[tuple[int, int]]:
@@ -152,14 +126,15 @@ def _divide_sparse(coeffs: list, terms: list[tuple[int, int]], scale: int = 1, s
     return coeffs
 
 
-def divide_by_euler(coeffs: list, step: int = 1) -> list:
+def divide_by_euler(coeffs: list, step: int = 1, start: int = 0) -> list:
     """Divide the series `coeffs` by (q^step; q^step)_inf in place, truncated
-    to len(coeffs) terms, and return the list.
+    to len(coeffs) terms, and return the list; from order `start` on, over a
+    quotient already in coeffs[:start], as in ``_divide_sparse``.
 
     (q^s;q^s)_inf has O(sqrt(N/s)) nonzero terms (Euler's pentagonal number
     theorem), so the quotient costs O(N^1.5) big-integer additions.
     """
-    return _divide_sparse(coeffs, _pentagonal_offsets(len(coeffs) - 1, step))
+    return _divide_sparse(coeffs, pentagonal_offsets(len(coeffs) - 1, step), 1, start)
 
 
 def divide_by_phi(coeffs: list, start: int = 0) -> list:
@@ -172,25 +147,6 @@ def divide_by_phi(coeffs: list, start: int = 0) -> list:
     each +-2, so the quotient costs O(N^1.5) big-integer additions.
     """
     return _divide_sparse(coeffs, _square_offsets(len(coeffs) - 1), 2, start)
-
-
-def mul(a: Sequence[int], b: Sequence[int]) -> CoefficientTable:
-    """Schoolbook product truncated at the order of the shorter factor.
-
-    Zero coefficients of `a` are skipped; the series fed through here are
-    frequently sparse (pentagonal-number supports).
-    """
-    n = min(len(a), len(b))
-    # slices are plain tuples, which index faster than a tuple subclass
-    bc = b[:n]
-    out = [0] * n
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            for j in range(n - i):
-                bj = bc[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return CoefficientTable(out)
 
 
 def invert(a: Sequence[int]) -> CoefficientTable:
@@ -214,19 +170,3 @@ def invert(a: Sequence[int]) -> CoefficientTable:
             s += ac[k] * b[j - k]
         b[j] = -a0 * s
     return CoefficientTable(b)
-
-
-def euler_product(exponent_step: int, order: int) -> CoefficientTable:
-    """(q^s; q^s)_infinity truncated at `order`, via the pentagonal theorem.
-
-    The coefficients are 0 or +-1, supported on s times the generalized
-    pentagonal numbers k(3k-1)/2 and k(3k+1)/2, with sign (-1)^k.
-    """
-    if exponent_step < 1:
-        raise ValueError("exponent step must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    out = [1] + [0] * order
-    for g, sign in _pentagonal_offsets(order, exponent_step):
-        out[g] = sign
-    return CoefficientTable(out)

@@ -26,9 +26,8 @@ from steadyparts.crank import (
     crank_counts_by_enumeration,
 )
 from steadyparts.formatting import ratio_string, sci_from_int
-from steadyparts.oracles import d_value_by_crank, pi_value_by_alpha
+from steadyparts.oracles import d_value_by_crank, pi_value_by_alpha, theta_row
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
-from steadyparts.series import theta_row
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from steadyparts.bipartite import PRODUCT_CAP, d_value, enumerate_steady, gf_table, pi_value
 from steadyparts.crank import build_crank_table, crank_column
-from steadyparts.oracles import d_value_by_crank, pi_value_by_alpha
+from steadyparts.oracles import d_value_by_crank, pi_value_by_alpha, theta_row
 from steadyparts.partitions import build_c_table, build_g_table, build_p_table
-from steadyparts.series import theta_coefficient, theta_row
+from steadyparts.series import theta_coefficient
 
 
 @pytest.fixture(scope="module")
@@ -316,12 +316,13 @@ class TestTable1Order:
     convolution oracles over c and p.  Neither oracle touches E, the packed
     sweep, ``divide_by_phi`` or ``HalfOrderG``.  What the routes share:
 
-    * the pentagonal division, ``series.divide_by_euler``: it builds p,
-      which feeds E on the fast path and c and the theta rows on the
-      oracles' side;
+    * ``partitions.build_p_table``, the pentagonal recurrence in blocks of
+      packed windows to order 4095 and ``series.divide_by_euler`` resumed
+      past it: it builds p, which feeds E on the fast path and c and the
+      theta rows on the oracles' side;
     * the partial theta series sum_l (-1)^l q^(l(l+1)/2 + l s), which the
       fast path sums over G by ``series.theta_coefficient``, and the oracles
-      over p by ``series.theta_row``'s slice passes (the alpha row, and the
+      over p by ``oracles.theta_row``'s slice passes (the alpha row, and the
       two rows of a crank column), which share no code with its loop.
     """
 

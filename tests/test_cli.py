@@ -23,7 +23,9 @@ from steadyparts.cli import asym
 from steadyparts.formatting import ratio_string, sci_from_int, sci_from_log
 from steadyparts.oracles import verify
 from steadyparts.crank import crank_value_direct
-from steadyparts.partitions import build_g_table, build_p_table, g_build_bytes, g_table_bytes, p_table_bytes
+from steadyparts.partitions import (
+    build_g_table, build_p_table, g_build_bytes, g_table_bytes, p_build_bytes, p_table_bytes,
+)
 from steadyparts.reports import BATCH, compute, crank_row, table1
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -224,12 +226,34 @@ class TestGuard:
         held = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
         assert held <= p_table_bytes(20000) <= 1.5 * held
 
+    @pytest.mark.parametrize("n", [1125, 4096, 20000])
+    def test_p_build_estimate_bounds_the_build_peak(self, n):
+        # what crank-row requires: the blocked prefix and its windows, whole
+        # (n = 1125) or beside the resumed tail, which outweighs them at 20000
+        build_p_table(2)  # the modules compiled before tracing
+        tracemalloc.start()
+        try:
+            p = build_p_table(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(p) == n + 1
+        assert peak <= p_build_bytes(n) <= 1.5 * peak
+
     def test_crank_row_estimate_bounds_what_it_holds(self, run_cli, monkeypatch):
-        # crank-row holds the p table and one batch of BATCH lines: the
-        # strings, their join and its encoding.  The guard's estimate lies
-        # between that, for a batch of the longest lines, and half as much again
+        # crank-row needs the p table's build, whose windows outweigh the
+        # table at this n, then holds the table and one batch of BATCH lines:
+        # the strings, their join and its encoding.  The guard's estimate lies
+        # between the larger of the two, for a batch of the longest lines,
+        # and half as much again
         n = 5000
-        p = build_p_table(n)
+        build_p_table(2)
+        tracemalloc.start()
+        try:
+            p = build_p_table(n)
+            build = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         table = sys.getsizeof(p) + sum(map(sys.getsizeof, p))
         for fmt, end in (("text", "\n"), ("csv", "\n"), ("json", "},\n")):
             args = ["crank-row", "--n", str(n), "--format", fmt]
@@ -238,6 +262,7 @@ class TestGuard:
             joined = "".join(batch)
             held = table + sys.getsizeof(batch) + BATCH * sys.getsizeof(longest)
             held += sys.getsizeof(joined) + sys.getsizeof(joined.encode())
+            held = max(build, held)
             monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(held))
             assert run_cli(args).code == 2, fmt
             monkeypatch.setenv("STEADYPARTS_MEM_LIMIT_BYTES", str(int(1.5 * held)))
@@ -929,7 +954,7 @@ def test_every_public_name_resolves():
     assert set(steadyparts.__all__) <= set(dir(steadyparts))
     for module, name in [
         ("bipartite", "pi_value"), ("partitions", "build_g_table"), ("series", "CoefficientTable"),
-        ("asymptotics", "asym_M"), ("crank", "crank_of"), ("oracles", "verify"), ("reports", "table1"),
+        ("asymptotics", "asym_M"), ("crank", "crank_value_direct"), ("oracles", "verify"), ("reports", "table1"),
     ]:
         assert module in steadyparts.__all__
         assert getattr(getattr(steadyparts, module), name) is not None

@@ -1,13 +1,12 @@
 import pytest
 
+from combinatorics import crank_of, partitions_of
 from steadyparts.crank import (
     build_crank_table,
     build_crank_table_lambert,
     crank_column,
     crank_counts_by_enumeration,
-    crank_of,
     crank_value_direct,
-    partitions_of,
 )
 from steadyparts.partitions import build_p_table
 

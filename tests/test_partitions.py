@@ -2,17 +2,17 @@ import math
 
 import pytest
 
+from combinatorics import partitions_of
 from steadyparts import partitions
-from steadyparts.oracles import c_values_via_inversion, g_values_via_chain
-from steadyparts.partitions import PACKED_ORDERS, build_c_table, build_g_table, build_p_table
+from steadyparts.oracles import c_values_via_inversion, euler_product, g_values_via_chain, mul
+from steadyparts.partitions import P_ORDERS, PACKED_ORDERS, build_c_table, build_g_table, build_p_table
 from steadyparts.crank import (
     build_crank_table,
     build_crank_table_lambert,
     crank_column,
     crank_counts_by_enumeration,
-    partitions_of,
 )
-from steadyparts.series import divide_by_euler, divide_by_phi, euler_product, invert, mul
+from steadyparts.series import divide_by_euler, divide_by_phi, invert
 
 
 def count_partitions(n):
@@ -90,6 +90,30 @@ class TestPartitionTable:
     def test_times_euler_product_is_one(self, p2000):
         # Euler: (q;q)_inf * P(q) = 1, through the dense product
         assert mul(euler_product(1, 2000), p2000) == (1,) + (0,) * 2000
+
+    def test_blocked_build_matches_division_at_small_orders(self):
+        # every length of the blocked prefix to 301, so every partial last
+        # block and every first order of each pentagonal offset
+        division = tuple(divide_by_euler([1] + [0] * 300))
+        for N in range(301):
+            assert build_p_table(N) == division[: N + 1], N
+
+    def test_blocked_build_matches_division_across_the_prefix(self):
+        # the blocked prefix is P_ORDERS orders, p(0..4095); from N = 4096 on
+        # the resumed division adds orders past it
+        division = tuple(divide_by_euler([1] + [0] * 20000))
+        for N in (*range(P_ORDERS - 2, P_ORDERS + 5), 20000):
+            assert build_p_table(N) == division[: N + 1], N
+
+    def test_a_field_one_bit_too_narrow_changes_p(self):
+        # negative control for the width: the decode is exact while every
+        # p(n) has a field of its own, and reads the largest, p(top), mod
+        # 2^(w - 1) once its field is one bit too narrow
+        p = build_p_table(P_ORDERS - 1)
+        w = p[-1].bit_length()
+        assert partitions._bits(2, P_ORDERS - 1) >= w
+        assert tuple(partitions._blocked_p(P_ORDERS, w)) == p
+        assert tuple(partitions._blocked_p(P_ORDERS, w - 1)) != p
 
 
 class TestCubicTable:

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from steadyparts.oracles import euler_product, mul, theta_row
 from steadyparts.series import (
     _divide_sparse,
     divide_by_euler,
-    euler_product,
     invert,
-    mul,
     theta_coefficient,
-    theta_row,
 )
 
 
