@@ -17,9 +17,12 @@ C = 2.0 * math.pi * math.sqrt(5.0 / 12.0)
 KAPPA = 5.0 ** 2.5 / (16.0 * 3.0 ** 1.5)
 
 
-def _log_damping(z: float, power: int) -> float:
-    """log of (1 + e^{-z})^{-power} for z >= 0; stable for large z."""
-    return -power * math.log1p(math.exp(-z))
+def _uniform(log_a: float, c: float, mu: int, s: int, power: float, damping: int) -> float:
+    """log of a e^{c sqrt(mu)} / mu^power (1 + e^{-c s / (2 sqrt(mu))})^{-damping},
+    the shape every uniform asymptotic here takes; log1p keeps the damping
+    stable for large s."""
+    z = c * s / (2.0 * math.sqrt(mu))
+    return log_a + c * math.sqrt(mu) - power * math.log(mu) - damping * math.log1p(math.exp(-z))
 
 
 def asym_p(n: int) -> float:
@@ -51,19 +54,15 @@ def asym_M(k: int, ell: int) -> float:
     """Uniform crank asymptotic:
 
     M(k, k + ell) ~ pi/(12 sqrt(2)) (1 + e^{-pi k / sqrt(6 ell)})^{-2}
-                    e^{2 pi sqrt(ell/6)} / ell^{3/2}.
+                    e^{2 pi sqrt(ell/6)} / ell^{3/2},
+
+    the uniform shape with c = 2 pi / sqrt(6), mu = ell and s = k.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if ell < 1:
         raise ValueError("ell must be positive")
-    z = math.pi * k / math.sqrt(6.0 * ell)
-    return (
-        math.log(math.pi / (12.0 * math.sqrt(2.0)))
-        + 2.0 * math.pi * math.sqrt(ell / 6.0)
-        - 1.5 * math.log(ell)
-        + _log_damping(z, 2)
-    )
+    return _uniform(math.log(math.pi / (12.0 * math.sqrt(2.0))), 2.0 * math.pi / math.sqrt(6.0), ell, k, 1.5, 2)
 
 
 def asym_D_applies(m: int, n: int) -> bool:
@@ -79,14 +78,7 @@ def asym_D(m: int, n: int) -> float:
     """
     if not asym_D_applies(m, n):
         raise ValueError("asym_D requires 1 <= m < 2n")
-    mu = min(m, 2 * n - m)
-    z = C * abs(n - m) / (2.0 * math.sqrt(mu))
-    return (
-        math.log(5.0 * C / 96.0)
-        + C * math.sqrt(mu)
-        - 2.0 * math.log(mu)
-        + _log_damping(z, 2)
-    )
+    return _uniform(math.log(5.0 * C / 96.0), C, min(m, 2 * n - m), abs(n - m), 2.0, 2)
 
 
 def asym_pi(m: int, n: int) -> float:
@@ -99,10 +91,4 @@ def asym_pi(m: int, n: int) -> float:
     mu = min(m, n)
     if mu < 1:
         raise ValueError("asym_pi requires min(m, n) >= 1")
-    z = C * abs(n - m) / (2.0 * math.sqrt(mu))
-    return (
-        math.log(5.0 / 48.0)
-        + C * math.sqrt(mu)
-        - 1.5 * math.log(mu)
-        + _log_damping(z, 1)
-    )
+    return _uniform(math.log(5.0 / 48.0), C, mu, abs(n - m), 1.5, 1)

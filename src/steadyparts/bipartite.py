@@ -52,6 +52,18 @@ def d_value(m: int, n: int, G: Sequence[int]) -> int:
     return pi_value(m, n, G) - (pi_value(m - 1, n, G) if m else 0)
 
 
+# largest box bound gf_table and enumerate_steady take
+PRODUCT_CAP = 60
+
+
+def _check_box(M: int, N: int) -> None:
+    """Raise ValueError unless 0 <= M, N <= PRODUCT_CAP."""
+    if M < 0 or N < 0:
+        raise ValueError("box bounds must be nonnegative")
+    if max(M, N) > PRODUCT_CAP:
+        raise ValueError(f"box bound {max(M, N)} exceeds the product cap {PRODUCT_CAP}")
+
+
 def enumerate_steady(M: int, N: int) -> tuple:
     """Count the steadily decreasing pair sequences, min(a_i, b_i) >=
     max(a_{i+1}, b_{i+1}), over the (M+1) x (N+1) box; the count of weight
@@ -63,10 +75,7 @@ def enumerate_steady(M: int, N: int) -> tuple:
     plus (B, B) followed by layer B itself, swept in ascending rows in place.
     Every term adds one shifted row slice.
     """
-    if M < 0 or N < 0:
-        raise ValueError("box bounds must be nonnegative")
-    if max(M, N) > PRODUCT_CAP:
-        raise ValueError(f"box bound {max(M, N)} exceeds the product cap {PRODUCT_CAP}")
+    _check_box(M, N)
     s = [[0] * (N + 1) for _ in range(M + 1)]
     s[0][0] = 1
     layers = [s]
@@ -85,10 +94,6 @@ def enumerate_steady(M: int, N: int) -> tuple:
     return tuple(map(tuple, s))
 
 
-# largest box bound gf_table and enumerate_steady take
-PRODUCT_CAP = 60
-
-
 def gf_table(M: int, N: int) -> tuple:
     """Expand the Carlitz product over the (M+1) x (N+1) box; pi(m, n) is
     g[m][n] of the returned tuple of row tuples.
@@ -98,10 +103,7 @@ def gf_table(M: int, N: int) -> tuple:
     order: x (xy)^j and y (xy)^j for j >= 0, (xy)^{2j} for j >= 1.  A factor
     whose degrees leave the box changes nothing.
     """
-    if M < 0 or N < 0:
-        raise ValueError("box bounds must be nonnegative")
-    if max(M, N) > PRODUCT_CAP:
-        raise ValueError(f"box bound {max(M, N)} exceeds the product cap {PRODUCT_CAP}")
+    _check_box(M, N)
     g = [[0] * (N + 1) for _ in range(M + 1)]
     g[0][0] = 1
     factors = [(j + 1, j) for j in range(M)] + [(j, j + 1) for j in range(N)]

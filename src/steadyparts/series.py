@@ -92,7 +92,7 @@ def _square_offsets(limit: int) -> list[tuple[int, int]]:
     """(offset, sign) pairs of phi(-q) = 1 + 2 sum_{k >= 1} (-1)^k q^(k^2) up
     to `limit`, ascending: k^2 with sign (-1)^k; the 2 is the scale
     ``divide_by_phi`` passes."""
-    return [(k * k, 1 if k % 2 == 0 else -1) for k in range(1, math.isqrt(limit) + 1)]
+    return [(k * k, (-1) ** k) for k in range(1, math.isqrt(limit) + 1)]
 
 
 def _divide_sparse(coeffs: list, terms: list[tuple[int, int]], scale: int = 1, start: int = 0) -> list:
