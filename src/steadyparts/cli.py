@@ -17,7 +17,6 @@ OverflowError from a size or an asymptotic past a float's range.
 
 import os
 import sys
-import threading
 import types
 
 # the C module that signal wraps: importing signal itself builds its IntEnum
@@ -37,8 +36,9 @@ class ResourceGuard:
 
     The time budget is one SIGALRM timer, armed on entry and disarmed on exit;
     when it fires, the command aborts wherever it is, inside table builds
-    too.  Signals reach only the main thread, so a command run from another
-    thread gets no timer; a budget of 0 or less still aborts it at once.
+    too.  It arms wherever signal() takes a handler, the main thread of the
+    main interpreter; elsewhere a budget of 0 or less still aborts at once.
+    The guard also lifts int-to-str's digit limit: exact values print whole.
     ``require`` checks the memory budget, before a table is built, against
     a size from steadyparts.partitions.  A budget that does not parse, or a
     time budget above MAX_TIME_LIMIT_S, aborts at once.
@@ -59,9 +59,16 @@ class ResourceGuard:
     def __enter__(self):
         if self.time_limit_s <= 0:
             self._time_out()
-        self._armed = threading.current_thread() is threading.main_thread()
-        if self._armed:
+        # the limit exists from CPython 3.10.7 and 3.11; 0 is none
+        self._digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if self._digits:
+            sys.set_int_max_str_digits(0)
+        try:
             self._previous = signal(SIGALRM, self._time_out)
+        except ValueError:  # off the main thread, or outside the main interpreter
+            self._armed = False
+        else:
+            self._armed = True
             setitimer(ITIMER_REAL, self.time_limit_s)
         return self
 
@@ -69,6 +76,8 @@ class ResourceGuard:
         if self._armed:
             setitimer(ITIMER_REAL, 0)
             signal(SIGALRM, self._previous)
+        if self._digits:
+            sys.set_int_max_str_digits(self._digits)
 
     def require(self, nbytes: int):
         """Abort unless nbytes fit in the memory budget."""
@@ -158,9 +167,8 @@ def _format(text: str) -> str:
 # An option is (flag, dest, parse, default, help).  parse reads the text
 # given after the flag; None marks a switch, which takes no text and is True
 # when given.  default is the text read when the flag is absent (False for a
-# switch), or REQUIRED.  help is a string, a function that returns one when
-# --help is shown, or None to leave the option out of --help.
-REQUIRED = object()
+# switch), or None for a required option.  help is a string, a function that
+# returns one when --help is shown, or None to leave the option out of --help.
 FORMAT = ("--format", "fmt", _format, "text", "output format: csv, json or text")
 # the options that come before the command
 GLOBAL_OPTIONS = (
@@ -169,14 +177,14 @@ GLOBAL_OPTIONS = (
 # command -> (a function that returns its run function, options)
 COMMANDS = {
     "table1": (lambda: reports.table1, (("--L", "l_values", _l_list, "10,40", "comma-separated list of L values"), FORMAT)),
-    "compute": (lambda: reports.compute, (("--m", "m", _int_range(0), REQUIRED, ""), ("--n", "n", _int_range(0), REQUIRED, ""))),
+    "compute": (lambda: reports.compute, (("--m", "m", _int_range(0), None, ""), ("--n", "n", _int_range(0), None, ""))),
     "verify": (lambda: oracles.verify, (
         ("--deep", "deep", None, False, "also compare the closed-form crank table with per-cell values, Lambert and brute force"),
         ("--box", "box", _box, "10", lambda: f"side of the checked pi box, 1..{bipartite.PRODUCT_CAP}"),
         ("--inject-fault", "inject_fault", None, False, None),  # a negative control for the tests
     )),
-    "crank-row": (lambda: reports.crank_row, (("--n", "n", _int_range(0), REQUIRED, ""), FORMAT)),
-    "asym": (lambda: asym, (("--m", "m", _int_range(1), REQUIRED, ""), ("--n", "n", _int_range(1), REQUIRED, ""))),
+    "crank-row": (lambda: reports.crank_row, (("--n", "n", _int_range(0), None, ""), FORMAT)),
+    "asym": (lambda: asym, (("--m", "m", _int_range(1), None, ""), ("--n", "n", _int_range(1), None, ""))),
 }
 
 
@@ -186,7 +194,7 @@ def _options(command: str | None) -> tuple:
 
 def _usage_error(command: str | None, message: str):
     """argparse's usage error: the usage line, then the message; exit 2."""
-    _stderr_line(usage.line(command, _options(command), REQUIRED))
+    _stderr_line(usage.line(command, _options(command)))
     _stderr_line(f"{usage.prog(command)}: error: {message}")
     sys.exit(2)
 
@@ -204,7 +212,7 @@ def _parse(argv: list[str]):
     tokens = iter(argv)
     for token in tokens:
         if token in ("-h", "--help"):
-            print(usage.help_text(command, _options(command), REQUIRED, COMMANDS), flush=True)
+            print(usage.help_text(command, _options(command), COMMANDS), flush=True)
             sys.exit(0)
         flag, has_text, text = token.partition("=")
         option = next((o for o in _options(command) if o[0] == flag), None)
@@ -235,7 +243,7 @@ def _parse(argv: list[str]):
     if command is None:
         _usage_error(None, "the following arguments are required: COMMAND")
     find, options = COMMANDS[command]
-    missing = [flag for flag, dest, _, default, _ in options if default is REQUIRED and dest not in values]
+    missing = [flag for flag, dest, _, default, _ in options if default is None and dest not in values]
     if missing:
         _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
     if unknown:

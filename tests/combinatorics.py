@@ -1,5 +1,6 @@
-"""The partitions of n and the crank of one partition, by definition: the
-tests' brute-force side of the crank tables.  No command reads them."""
+"""The partitions of n, their number and the crank of one partition, by
+definition: the tests' brute-force side of the p and crank tables.  No
+command reads them."""
 
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
@@ -13,6 +14,18 @@ def partitions_of(n: int) -> Iterator[tuple]:
     decreasing lexicographic order (ZS1, see ``_zs1``)."""
     for parts, _, size in _zs1(n):
         yield tuple(parts[:size])
+
+
+def count_partitions(n: int) -> int:
+    """The number of partitions of n, by brute-force recursion over the
+    largest part, independent of the library."""
+
+    def rec(remaining, cap):
+        if remaining == 0:
+            return 1
+        return sum(rec(remaining - part, part) for part in range(1, min(cap, remaining) + 1))
+
+    return rec(n, n)
 
 
 def crank_of(partition: Sequence[int]) -> int:

@@ -384,6 +384,43 @@ class TestGuard:
         assert res.code == 2
         assert res.stderr.startswith("aborted: time budget")
 
+    def test_no_timer_where_signal_takes_no_handler(self, run_cli, monkeypatch):
+        # signal() refuses a handler off the main thread and outside the main
+        # interpreter: the command then runs, and no timer is set
+        from steadyparts import cli
+
+        def refuse(signum, handler):
+            raise ValueError("signal only works in main thread of the main interpreter")
+
+        timers = []
+        monkeypatch.setattr(cli, "signal", refuse)
+        monkeypatch.setattr(cli, "setitimer", lambda *args: timers.append(args))
+        res = run_cli(["compute", "--m", "3", "--n", "3"])
+        assert res.code == 0
+        assert res.stdout == (
+            "pi(3,3) = 7\n  sci = 7.00000e0   asym = 1.12682e1   ratio = 0.6212\n"
+            "D(3,3) = 2\n  sci = 2.00000e0   asym = 6.59643e0   ratio = 0.3032\n"
+        )
+        assert res.stderr == ""
+        assert timers == []
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_exact_values_print_past_the_digit_limit(self, run_cli, monkeypatch):
+        # the guard lifts the limit for the command, and restores it after
+        from steadyparts import partitions
+
+        monkeypatch.setattr(partitions, "build_g_table", lambda N: (10 ** 700,) * (N + 1))
+        digits = "1" + "0" * 700
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            res = run_cli(["compute", "--m", "0", "--n", "5"])
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert res == (0, f"pi(0,5) = {digits}\nD(0,5) = {digits}\n", "")
+        assert after == 640
+
 
 class TestVerify:
     def test_default_passes(self, run_cli):
@@ -770,8 +807,32 @@ class TestProcess:
     def test_imports_only_the_stdlib(self):
         out = self.modules_after("import sys, steadyparts.cli")
         assert "steadyparts.cli" in out
-        for name in ("click", "typing", "json", "concurrent.futures", "logging", "decimal", "argparse", "gettext", "locale"):
+        unused = ["click", "typing", "json", "concurrent.futures", "logging", "decimal", "argparse", "gettext", "locale"]
+        # the guard asks signal() where its timer can arm, not threading.
+        # From 3.13, LazyLoader, which the package registers its modules
+        # through, imports threading itself
+        if "threading" not in self.modules_after("import sys, steadyparts"):
+            unused.append("threading")
+        for name in unused:
             assert name not in out
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_interpreters", "_xxsubinterpreters")),
+        reason="no subinterpreter module on this Python",
+    )
+    def test_runs_in_a_subinterpreter(self):
+        # signal() takes no handler outside the main interpreter: the command
+        # runs there without a timer.  run_string raises the command's
+        # exception before 3.13 and returns it from 3.13 on
+        probe = (
+            "try:\n    import _interpreters as interpreters\n"
+            "except ImportError:\n    import _xxsubinterpreters as interpreters\n"
+            "command = 'from steadyparts.cli import cli; cli([\"asym\", \"--m\", \"1\", \"--n\", \"1\"])'\n"
+            "assert interpreters.run_string(interpreters.create(), command) is None\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=self.env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "asym_pi(1,1) = 3.00678e0\nasym_D(1,1)  = 3.04870e0\n"
 
     @pytest.mark.parametrize("command", [["table1", "--L", "10"], ["crank-row", "--n", "10"]])
     def test_json_format_loads_no_json(self, command):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from combinatorics import partitions_of
+from combinatorics import count_partitions, partitions_of
 from steadyparts import partitions
 from steadyparts.oracles import c_values_via_inversion, euler_product, g_values_via_chain, mul
 from steadyparts.partitions import P_ORDERS, PACKED_ORDERS, build_c_table, build_g_table, build_p_table
@@ -13,15 +13,6 @@ from steadyparts.crank import (
     crank_counts_by_enumeration,
 )
 from steadyparts.series import divide_by_euler, divide_by_phi, invert
-
-
-def count_partitions(n):
-    def rec(remaining, cap):
-        if remaining == 0:
-            return 1
-        return sum(rec(remaining - part, part) for part in range(1, min(cap, remaining) + 1))
-
-    return rec(n, n)
 
 
 @pytest.fixture(scope="module")

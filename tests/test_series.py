@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from combinatorics import count_partitions
 from steadyparts.oracles import euler_product, mul, theta_row
 from steadyparts.series import (
     _divide_sparse,
@@ -33,16 +34,6 @@ def generalized_pentagonal_numbers(limit):
             out.add(k * (3 * k + 1) // 2)
         k += 1
     return out
-
-
-def count_partitions(n):
-    """Oracle: brute-force recursion, independent of the library."""
-    def rec(remaining, cap):
-        if remaining == 0:
-            return 1
-        return sum(rec(remaining - part, part) for part in range(1, min(cap, remaining) + 1))
-
-    return rec(n, n)
 
 
 def one(order):
